@@ -47,7 +47,7 @@ def derive_seed(seed: int, stream: str) -> int:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(obj, out_path: str | None) -> None:

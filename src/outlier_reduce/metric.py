@@ -37,6 +37,7 @@ __all__ = [
 
 # Absolute tolerance for cost comparisons across the package.
 COST_ATOL = 1e-9
+EUCLIDEAN_BLOCK_ELEMENTS = 1 << 20
 
 
 def _lis_length(seq: Sequence[int]) -> int:
@@ -151,8 +152,16 @@ def euclidean_space(coords: Sequence[Sequence[float]], z: int, dim: int) -> Metr
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got shape {arr.shape}")
-    diff = arr[:, None, :] - arr[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
+    if not np.isfinite(arr).all():
+        raise ValueError("point coordinates must be finite")
+    # rows in blocks, so the n x rows x dim temporary stays near 1 M elements
+    n = arr.shape[0]
+    dist = np.empty((n, n))
+    rows = max(1, EUCLIDEAN_BLOCK_ELEMENTS // max(n * dim, 1))
+    for lo in range(0, n, rows):
+        diff = arr[lo:lo + rows, None, :] - arr[None, :, :]
+        np.square(diff, out=diff)
+        np.sqrt(diff.sum(axis=2), out=dist[lo:lo + rows])
     return MetricSpace("euclidean", z, dist, coords=arr, dim=dim)
 
 
@@ -160,6 +169,8 @@ def matrix_space(matrix: Sequence[Sequence[float]], z: int) -> MetricSpace:
     dmat = np.asarray(matrix, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {dmat.shape}")
+    if not np.isfinite(dmat).all():
+        raise ValueError("distance matrix entries must be finite")
     if (dmat < 0).any():
         raise ValueError("distance matrix entries must be nonnegative")
     if not np.allclose(np.diag(dmat), 0.0, atol=COST_ATOL):

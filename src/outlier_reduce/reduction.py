@@ -11,10 +11,11 @@ clusters the rest. The cheapest feasible solution over all pairs wins.
 
 Points of Y never appear on the matching's left side, so no point is
 removed twice. Duplicate pool draws collapse before subset enumeration;
-identical Y sets would produce identical subinstances. Iterations are
-pure functions of shared read-only state, so they may be fanned out to a
-thread pool; the winner is chosen by (cost, iteration index), making
-parallel and serial runs byte-identical.
+identical Y sets would produce identical subinstances. Pairs that remove
+the same set share one solver call; only the first pair's index and cost
+are kept, since a later pair ties in cost and loses on index. Iterations
+may be fanned out to a thread pool; the winner is chosen by (cost,
+iteration index), making parallel and serial runs byte-identical.
 
 For squared-distance costs the configured epsilon is tightened to
 epsilon^2 / (2m+1)^2 before use (once), which turns the raw additive
@@ -36,7 +37,7 @@ from .bmatching import (BMatchingInfeasible, BMatchingProblem, prune_left,
                         solve_bmatching)
 from .instance import ClusteringInstance, Solution, check
 from .sampling import SamplePool, dz_sample, exhaustive_pool, sample_size
-from .solvers import OutlierFreeProblem, SolverPlugin
+from .solvers import OutlierFreeProblem, SolverPlugin, _compositions
 
 __all__ = [
     "ValidTuple",
@@ -129,15 +130,6 @@ class ReductionResult:
     chosen_Y: tuple[int, ...]
     chosen_tau: ValidTuple
     timings: dict = field(default_factory=dict)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def enumerate_outlier_subsets(pool: SamplePool, m: int) -> Iterator[tuple[int, ...]]:
@@ -239,7 +231,11 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
             iterations.append((len(iterations), Y, tau))
     q = len(iterations)
 
-    solver_cache: dict[frozenset[int], object] = {}
+    # removed set -> (first index that solved it, its cost or None). A later
+    # pair with the same set has an equal cost and a larger index, so it
+    # can never win and needs no solution. Under threads a larger index may
+    # get there first; the smaller one then solves again.
+    solver_cache: dict[frozenset[int], tuple[int, float | None]] = {}
     t_matching = [0.0]
     t_solver = [0.0]
 
@@ -258,26 +254,25 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
         t_matching[0] += time.perf_counter() - ts
         removed = frozenset(Y) | matching.matched_left
         ts = time.perf_counter()
-        if removed in solver_cache:
-            result = solver_cache[removed]
+        result = None
+        cached = solver_cache.get(removed)
+        if cached is not None and cached[0] < index:
+            cost = cached[1]
         else:
             x_prime = tuple(x for x in inst.X if x not in removed)
             result = plugin.solve(OutlierFreeProblem(inst, x_prime),
                                   config.baseline_seed)
             if result is not None:
                 _validate_plugin_output(inst, x_prime, result)
-            solver_cache[removed] = result
+            cost = None if result is None else result.cost
+            solver_cache[removed] = (index, cost)
         t_solver[0] += time.perf_counter() - ts
+        record = IterationRecord(index, Y, tau, matching.total_weight, cost,
+                                 cost is not None, time.perf_counter() - start)
         if result is None:
-            return (IterationRecord(index, Y, tau, matching.total_weight,
-                                    None, False,
-                                    time.perf_counter() - start), None)
-        solution = Solution(outliers=removed, clusters=result.clusters,
-                            centers=result.centers, cost=result.cost)
-        record = IterationRecord(index, Y, tau, matching.total_weight,
-                                 result.cost, True,
-                                 time.perf_counter() - start)
-        return record, solution
+            return record, None
+        return record, Solution(outliers=removed, clusters=result.clusters,
+                                centers=result.centers, cost=result.cost)
 
     records: list[IterationRecord] = []
     best: tuple[float, int, Solution, tuple, ValidTuple] | None = None

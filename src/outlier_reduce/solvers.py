@@ -8,8 +8,12 @@ label-window kinds run on the min-cost-flow engine, with fractional
 fairness windows enumerated per cluster-size vector using exact rational
 arithmetic. ``solve_exact`` wraps the assignment in an enumeration over
 center subsets (ordered tuples when per-cluster bounds make clusters
-distinguishable) and is guarded by a work budget. ``solve_local_search``
-swaps single centers greedily and accepts only strict improvements.
+distinguishable) and is guarded by a work budget. The tuples come from a
+cached read-only table, and one numpy pass per call scores every tuple's
+nearest-center cost, which is the unconstrained kinds' assignment cost and
+a lower bound for the constrained ones; only tuples whose bound beats the
+incumbent reach the assignment engines. ``solve_local_search`` swaps
+single centers greedily and accepts only strict improvements.
 
 Anything implementing the one-function plugin signature can replace the
 shipped solvers; the reduction driver treats them interchangeably.
@@ -17,6 +21,7 @@ shipped solvers; the reduction driver treats them interchangeably.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,6 +50,7 @@ DEFAULT_WORK_BUDGET = 5_000_000
 IMPROVE_ATOL = 1e-9
 LOCAL_SEARCH_ITERATION_FACTOR = 200
 FRACTIONAL_SIZE_VECTOR_BUDGET = 200_000
+BOUND_BLOCK_ELEMENTS = 1 << 18  # 2 MB of float64 per bound block
 
 
 class ExactBudgetExceeded(Exception):
@@ -298,13 +304,44 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+@functools.lru_cache(maxsize=4)
+def _center_tuples(nf: int, k: int, ordered: bool) -> np.ndarray:
+    """Read-only (count, k) table of facility-column tuples in enumeration
+    order: k-permutations when ``ordered``, else k-combinations."""
+    it = (itertools.permutations(range(nf), k) if ordered
+          else itertools.combinations(range(nf), k))
+    count = math.perm(nf, k) if ordered else math.comb(nf, k)
+    table = np.fromiter(itertools.chain.from_iterable(it), dtype=np.intp,
+                        count=count * k).reshape(count, k)
+    table.flags.writeable = False
+    return table
+
+
+def _tuple_bounds(WT: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """Nearest-center cost of X' for each tuple; WT is the F x X' matrix.
+
+    Row t equals ``W_all[:, tuples[t]].min(axis=1).sum()`` bitwise: the
+    minimum is exact, and each row is summed over its contiguous axis.
+    """
+    near = WT[tuples[:, 0]]
+    for j in range(1, tuples.shape[1]):
+        np.minimum(near, WT[tuples[:, j]], out=near)
+    return near.sum(axis=1)
+
+
 def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
                 work_budget: int = DEFAULT_WORK_BUDGET):
     """Exact optimum over all center choices; None when globally infeasible.
 
     Enumerates unordered k-subsets of F, or ordered k-tuples when
-    per-cluster bounds make clusters distinguishable. Refuses instances
-    whose enumeration would exceed ``work_budget``.
+    per-cluster bounds make clusters distinguishable, from the cached
+    tuple table. Each tuple's nearest-center cost is computed in blocks of
+    one numpy pass; the scan then visits the tuples in order and skips any
+    whose cost is not below the incumbent by ``IMPROVE_ATOL``. For the
+    ``unconstrained`` kind that cost is the answer, so clusters are built
+    for the winner only; the other kinds solve their assignment for every
+    tuple that survives. Refuses instances whose enumeration would exceed
+    ``work_budget``.
     """
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
@@ -318,30 +355,37 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
             f"work budget {work_budget}")
 
     W_all = problem.weight_matrix()
-    unconstrained_kind = inst.constraint.kind in ("unconstrained",
-                                                  "outlier_label_quota")
-    it = (itertools.permutations(range(nf), k) if ordered
-          else itertools.combinations(range(nf), k))
+    WT = np.ascontiguousarray(W_all.T)
+    tuples = _center_tuples(nf, k, ordered)
+    bound_only = inst.constraint.kind == "unconstrained"
+    block = max(1, BOUND_BLOCK_ELEMENTS // max(problem.n, 1))
     best_cost = None
-    best_cols = None
+    best_t = None
     best_assignment = None
-    for cols in it:
-        W = W_all[:, cols]
-        lower = float(W.min(axis=1).sum()) if W.size else 0.0
-        if best_cost is not None and lower >= best_cost - IMPROVE_ATOL:
-            continue  # the unconstrained assignment already bounds this tuple
-        centers = tuple(inst.F[j] for j in cols)
-        res = _assign_with_matrix(problem, centers, W)
-        if res is None:
-            continue
-        clusters, cost = res
-        if best_cost is None or cost < best_cost - IMPROVE_ATOL:
-            best_cost = cost
-            best_cols = centers
-            best_assignment = clusters
+    for lo in range(0, num_tuples, block):
+        bounds = _tuple_bounds(WT, tuples[lo:lo + block]).tolist()
+        for t, cost in enumerate(bounds, lo):
+            if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
+                continue  # the unconstrained assignment already bounds this tuple
+            if not bound_only:
+                cols = tuples[t]
+                centers = tuple(inst.F[j] for j in cols)
+                res = _assign_with_matrix(problem, centers, W_all[:, cols])
+                if res is None:
+                    continue
+                clusters, cost = res
+                if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
+                    continue
+                best_assignment = clusters
+            best_cost, best_t = cost, t
     if best_cost is None:
         return None
-    return SolverResult(clusters=best_assignment, centers=best_cols,
+    cols = tuples[best_t]
+    centers = tuple(inst.F[j] for j in cols)
+    if bound_only:
+        best_assignment, best_cost = _assign_unconstrained(problem, centers,
+                                                           W_all[:, cols])
+    return SolverResult(clusters=best_assignment, centers=centers,
                         cost=best_cost)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from outlier_reduce.cli import main
+from outlier_reduce.cli import canonical_json, main
 from outlier_reduce.instance import load_instance
 
 
@@ -176,3 +176,34 @@ def test_exit_codes(tmp_path):
         "k": 1, "m": 0, "constraint": {"kind": "unconstrained"},
     }))
     assert run(["oracle", "--input", big]) == 3
+
+
+def test_non_finite_input_exits_1(tmp_path, capsys):
+    nan_point = tmp_path / "nan.json"
+    nan_point.write_text(json.dumps({
+        "metric": {"kind": "euclidean", "dim": 1}, "z": 1,
+        "points": [[0.0], [float("nan")], [2.0]],
+        "facilities": [[0.0], [2.0]],
+        "k": 1, "m": 1, "constraint": {"kind": "unconstrained"},
+    }))
+    inf_entry = tmp_path / "inf.json"
+    inf_entry.write_text(json.dumps({
+        "metric": {"kind": "matrix",
+                   "matrix": [[0.0, 1.0, float("inf")],
+                              [1.0, 0.0, 1.0],
+                              [float("inf"), 1.0, 0.0]]},
+        "z": 1, "points": [0, 1, 2], "facilities": [0, 1, 2],
+        "k": 1, "m": 1, "constraint": {"kind": "unconstrained"},
+    }))
+    for path in (nan_point, inf_entry):
+        out = tmp_path / "sol.json"
+        assert run(["solve", "--input", path, "--out", out,
+                    "--exhaustive-sample"]) == 1
+        assert not out.exists()
+        assert run(["oracle", "--input", path]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_canonical_json_refuses_non_finite():
+    with pytest.raises(ValueError):
+        canonical_json({"cost": float("nan")})

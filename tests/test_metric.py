@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outlier_reduce import metric
 from outlier_reduce.metric import (euclidean_space, matrix_space,
                                    matrix_space_from_csv, point_to_set,
                                    powered_distance, ulam_distance,
@@ -162,3 +163,25 @@ def test_ulam_space_from_file(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         ulam_space_from_file(str(empty), z=1)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1100), (2, 800), (9, 400)])
+def test_euclidean_blocked_build_matches_broadcast(dim, n, monkeypatch):
+    # the default block holds fewer than n rows at these sizes; a small one
+    # leaves a short last block
+    arr = np.random.default_rng(dim).normal(scale=50.0, size=(n, dim))
+    diff = arr[:, None, :] - arr[None, :, :]
+    expect = np.sqrt((diff ** 2).sum(axis=2))
+    for block in (None, 37 * n * dim):
+        if block is not None:
+            monkeypatch.setattr(metric, "EUCLIDEAN_BLOCK_ELEMENTS", block)
+        space = euclidean_space(arr, z=1, dim=dim)
+        assert space._dist.tobytes() == expect.tobytes()
+
+
+def test_non_finite_input_rejected():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            euclidean_space([[0.0, 1.0], [bad, 2.0]], z=1, dim=2)
+        with pytest.raises(ValueError, match="finite"):
+            matrix_space([[0.0, bad], [bad, 0.0]], z=1)

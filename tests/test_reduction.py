@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -9,7 +10,7 @@ from outlier_reduce.reduction import (ReductionConfig, ReductionInfeasible,
                                       enumerate_outlier_subsets,
                                       enumerate_valid_tuples, run_reduction)
 from outlier_reduce.sampling import SamplePool
-from outlier_reduce.solvers import get_plugin
+from outlier_reduce.solvers import SolverPlugin, get_plugin
 from outlier_reduce.gen import GeneratorConfig, generate_instance
 from helpers import line_instance, ref_of
 
@@ -191,3 +192,34 @@ def test_config_validation():
         ReductionConfig(sampling="sometimes")
     with pytest.raises(ValueError):
         ReductionConfig(parallel=0)
+
+
+def test_parallel_matches_serial_when_removed_sets_repeat():
+    inst = generate_instance(GeneratorConfig(n=12, k=2, m=2, metric="matrix",
+                                             constraint="label_bounds"),
+                             seed=4)
+    calls = []
+
+    def counting_solve(problem, rng_seed=0):
+        calls.append(problem.X_prime)
+        return EXACT.solve(problem, rng_seed)
+
+    plugin = SolverPlugin("exact", counting_solve, EXACT.exactness)
+    serial = run_reduction(inst, exhaustive_config(), plugin)
+    matched = sum(r.matching_weight is not None for r in serial.records)
+    assert len(calls) < matched  # the solver cache answered some pairs
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often to provoke races
+    try:
+        threaded = run_reduction(inst, exhaustive_config(parallel=4), plugin)
+    finally:
+        sys.setswitchinterval(interval)
+
+    def records(res):
+        return [(r.index, r.Y, r.tau, r.matching_weight, r.solver_cost,
+                 r.feasible) for r in res.records]
+
+    assert threaded.chosen_Y == serial.chosen_Y
+    assert threaded.chosen_tau == serial.chosen_tau
+    assert threaded.solution == serial.solution
+    assert records(threaded) == records(serial)

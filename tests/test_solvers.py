@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from outlier_reduce import solvers
 from outlier_reduce.instance import validate_solution, Solution
-from outlier_reduce.solvers import (ExactBudgetExceeded, OutlierFreeProblem,
-                                    assign_given_centers, solve_exact,
-                                    solve_local_search)
+from outlier_reduce.solvers import (IMPROVE_ATOL, ExactBudgetExceeded,
+                                    OutlierFreeProblem, SolverResult,
+                                    _assign_with_matrix, assign_given_centers,
+                                    solve_exact, solve_local_search)
 from helpers import brute_assignment, fref_of, line_instance, ref_of
 
 
@@ -207,3 +211,113 @@ def test_empty_residual_set():
     res = solve_exact(prob)
     assert res is not None and res.cost == 0.0
     assert all(len(c) == 0 for c in res.clusters)
+
+
+def reference_solve_exact(problem):
+    """Scalar reference for ``solve_exact``: one slice, min and sum per
+    center tuple, in enumeration order."""
+    inst = problem.inst
+    k, nf = inst.k, len(inst.F)
+    if k > nf:
+        return None
+    ordered = inst.constraint.cluster_indexed
+    W_all = problem.weight_matrix()
+    it = (itertools.permutations(range(nf), k) if ordered
+          else itertools.combinations(range(nf), k))
+    best_cost = best_cols = best_assignment = None
+    for cols in it:
+        W = W_all[:, cols]
+        lower = float(W.min(axis=1).sum()) if W.size else 0.0
+        if best_cost is not None and lower >= best_cost - IMPROVE_ATOL:
+            continue
+        centers = tuple(inst.F[j] for j in cols)
+        res = _assign_with_matrix(problem, centers, W)
+        if res is None:
+            continue
+        clusters, cost = res
+        if best_cost is None or cost < best_cost - IMPROVE_ATOL:
+            best_cost, best_cols, best_assignment = cost, centers, clusters
+    if best_cost is None:
+        return None
+    return SolverResult(clusters=best_assignment, centers=best_cols,
+                        cost=best_cost)
+
+
+def assert_same_result(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.cost.hex() == want.cost.hex()
+    assert got.centers == want.centers
+    assert got.clusters == want.clusters
+
+
+KIND_SPECS = [
+    ({"kind": "unconstrained"}, False),
+    ({"kind": "capacitated", "s": None}, False),
+    ({"kind": "size_bounds", "r": [1, 1], "l": [5, 5]}, False),
+    ({"kind": "size_bounds", "r": [2, 0], "l": [6, 4]}, False),  # ordered
+    ({"kind": "label_bounds", "min_per_label": {"a": 1},
+      "max_per_label": {"b": 3}}, True),
+    ({"kind": "label_bounds", "alpha": {"a": "1/4"}, "beta": {"a": "3/4"}},
+     True),
+    ({"kind": "outlier_label_quota", "quota": {"a": 1}}, True),
+]
+
+
+@pytest.mark.parametrize("block_elements", [1, 20, None])
+@pytest.mark.parametrize("spec,labelled", KIND_SPECS)
+def test_exact_matches_scalar_reference(spec, labelled, block_elements,
+                                        monkeypatch):
+    if block_elements is not None:  # None keeps the default: one block
+        monkeypatch.setattr(solvers, "BOUND_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(11)
+    for trial in range(8):
+        # integer coordinates give exact ties between tuples
+        xs = sorted(set(rng.integers(0, 12, size=7).tolist()))
+        spec = dict(spec)
+        if spec["kind"] == "capacitated":
+            spec["s"] = [int(rng.integers(1, 5)) for _ in xs]
+        labels = ([("a", "b")[int(rng.integers(0, 2))] for _ in xs]
+                  if labelled else None)
+        inst = line_instance(xs, k=2, m=2, z=1 + trial % 2, constraint=spec,
+                             labels=labels)
+        for drop in (0, 1, 2):
+            keep = sorted(rng.choice(inst.n, size=inst.n - drop,
+                                     replace=False))
+            prob = OutlierFreeProblem(inst, tuple(inst.X[i] for i in keep))
+            assert_same_result(solve_exact(prob), reference_solve_exact(prob))
+        empty = OutlierFreeProblem(inst, ())
+        assert_same_result(solve_exact(empty), reference_solve_exact(empty))
+
+
+@pytest.mark.parametrize("gap,winner", [(1e-10, 1), (1e-8, 2)])
+def test_exact_near_tie_keeps_first_tuple(gap, winner):
+    # the second facility is cheaper by ``gap``: within IMPROVE_ATOL the
+    # earlier tuple stays the incumbent
+    for kind in ({"kind": "unconstrained"},
+                 {"kind": "capacitated", "s": [2, 2]}):
+        inst = line_instance([0], fs=[1, 1 - gap], k=1, constraint=kind)
+        prob = problem_of(inst)
+        res = solve_exact(prob)
+        assert_same_result(res, reference_solve_exact(prob))
+        assert res.centers == (fref_of(inst, 1 if winner == 1 else 1 - gap),)
+
+
+def test_exact_near_ties_random_match_reference():
+    rng = np.random.default_rng(3)
+    for trial in range(30):
+        xs = rng.integers(0, 6, size=6).astype(float)
+        xs[rng.integers(0, 6)] += rng.choice([-1, 1]) * 1e-10
+        inst = line_instance(sorted(set(xs.tolist())), k=2)
+        prob = problem_of(inst)
+        assert_same_result(solve_exact(prob), reference_solve_exact(prob))
+
+
+def test_center_tuple_table():
+    table = solvers._center_tuples(5, 2, False)
+    assert table.tolist() == [list(t) for t in itertools.combinations(range(5), 2)]
+    assert not table.flags.writeable and table.dtype == np.intp
+    assert (solvers._center_tuples(4, 3, True).tolist()
+            == [list(t) for t in itertools.permutations(range(4), 3)])
+    assert solvers._center_tuples(5, 2, False) is table

@@ -3,12 +3,16 @@
 Each right vertex j must be matched to exactly ``demands[j]`` left
 vertices; each left vertex is used at most once; total edge weight is
 minimized. The labelled variant additionally fixes, per right vertex,
-how many of its matches carry each label: it is solved by expanding every
-right vertex j into t_j unit-demand copies whose incident edges are
-restricted to left vertices of the copy's label.
+how many of its matches carry each label.
 
-Both shapes run on the successive-shortest-path engine in ``flow`` and
-are exact; heuristics are deliberately not offered.
+Both shapes are rectangular linear sum assignments on slot-expanded
+columns: right vertex j becomes t_j unit copies. Copies of a label only
+see left vertices of that label, so the labelled variant splits into one
+assignment per label. The counts alone decide feasibility, before any
+solve. Among equal-weight optima each match moves to the lowest free left
+position of its label and weight, so ties follow the left order rather
+than the assignment code's. The matching is exact; heuristics are
+deliberately not offered.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 import numpy as np
-
-from .flow import FlowInfeasible, FlowNetwork
+from scipy.optimize import linear_sum_assignment
 
 __all__ = ["BMatchingProblem", "BMatchingSolution", "BMatchingInfeasible",
            "solve_bmatching", "prune_left"]
@@ -86,7 +89,13 @@ class BMatchingSolution:
     matched_left: frozenset[int]
 
 
-def _diagnose_shortfall(prob: BMatchingProblem) -> str:
+def _shortfall(prob: BMatchingProblem) -> str | None:
+    """Why the demands cannot be met, or None when they can.
+
+    Every left vertex may serve every right vertex (of its label), so the
+    counts decide feasibility: the total demand, and per label the demand
+    against the left vertices carrying that label.
+    """
     if prob.total_demand > len(prob.left):
         return (f"total demand {prob.total_demand} exceeds "
                 f"{len(prob.left)} left vertices")
@@ -102,66 +111,44 @@ def _diagnose_shortfall(prob: BMatchingProblem) -> str:
             if cnt > avail.get(lab, 0):
                 return (f"label {lab!r}: demand {cnt} exceeds "
                         f"{avail.get(lab, 0)} available left vertices")
-    return "demands cannot be met"
+    return None
 
 
 def solve_bmatching(prob: BMatchingProblem) -> BMatchingSolution:
     """Globally minimum-weight matching meeting every demand exactly."""
-    nl, nr = len(prob.left), len(prob.right)
-    total = prob.total_demand
-    if total == 0:
-        return BMatchingSolution((), 0.0, frozenset())
-
-    if not prob.labelled:
-        # source -> left (1) -> right (1, w) -> sink (t_j)
-        src, snk = nl + nr, nl + nr + 1
-        net = FlowNetwork(nl + nr + 2)
-        for u in range(nl):
-            net.add_arc(src, u, 1, 0.0)
-        edge_arcs = {}
-        for u in range(nl):
-            for j in range(nr):
-                if prob.demands[j] > 0:
-                    edge_arcs[(u, j)] = net.add_arc(u, nl + j, 1,
-                                                    float(prob.weights[u, j]))
-        for j in range(nr):
-            if prob.demands[j] > 0:
-                net.add_arc(nl + j, snk, prob.demands[j], 0.0)
-        try:
-            net.solve(src, snk, total)
-        except FlowInfeasible:
-            raise BMatchingInfeasible(_diagnose_shortfall(prob)) from None
-    else:
-        # expand right vertex j into t_j copies; the copies for label l only
-        # see left vertices of label l
-        copies: list[tuple[int, str]] = []
-        for j, psi in enumerate(prob.label_demands):
-            for lab in sorted(psi):
-                copies.extend((j, lab) for _ in range(psi[lab]))
-        nc = len(copies)
-        src, snk = nl + nc, nl + nc + 1
-        net = FlowNetwork(nl + nc + 2)
-        for u in range(nl):
-            net.add_arc(src, u, 1, 0.0)
-        edge_arcs = {}
-        for c, (j, lab) in enumerate(copies):
-            for u in range(nl):
-                if prob.left_labels[u] == lab:
-                    edge_arcs[(u, c)] = net.add_arc(u, nl + c, 1,
-                                                    float(prob.weights[u, j]))
-            net.add_arc(nl + c, snk, 1, 0.0)
-        try:
-            net.solve(src, snk, total)
-        except FlowInfeasible:
-            raise BMatchingInfeasible(_diagnose_shortfall(prob)) from None
-
+    reason = _shortfall(prob)
+    if reason is not None:
+        raise BMatchingInfeasible(reason)
+    # each right vertex j becomes t_j unit copies; the copies of a label
+    # only see that label's left vertices: one assignment per label
+    labels = prob.left_labels or (None,) * len(prob.left)
+    demands = prob.label_demands or tuple({None: t} for t in prob.demands)
+    match = {}
+    for lab in sorted({lab for psi in demands for lab in psi}):
+        rows = [u for u, x in enumerate(labels) if x == lab]
+        copies = [j for j, psi in enumerate(demands)
+                  for _ in range(psi.get(lab, 0))]
+        if copies:
+            block = prob.weights.take(rows, 0).take(copies, 1)
+            r, c = linear_sum_assignment(block)
+            match.update((rows[a], copies[b])
+                         for a, b in zip(r.tolist(), c.tolist()))
+    # equal weights tie: move each match to the lowest free position with
+    # the same label and weight, so ties do not hinge on the assignment
+    # code's internal order (one ascending pass reaches the fixed point)
+    free = set(range(len(prob.left))) - match.keys()
+    for u in sorted(match):
+        j = match[u]
+        v = min((v for v in free if v < u and labels[v] == labels[u]
+                 and prob.weights[v, j] == prob.weights[u, j]), default=u)
+        if v != u:
+            free ^= {u, v}
+            match[v] = match.pop(u)
     edges = []
     weight = 0.0
-    for (u, tgt), arc in sorted(edge_arcs.items()):
-        if net.flow_on(arc) > 0:
-            j = tgt if not prob.labelled else copies[tgt][0]
-            edges.append((prob.left[u], prob.right[j]))
-            weight += float(prob.weights[u, j])
+    for u, j in sorted(match.items()):
+        edges.append((prob.left[u], prob.right[j]))
+        weight += float(prob.weights[u, j])
     matched = frozenset(u for u, _ in edges)
     return BMatchingSolution(tuple(edges), weight, matched)
 

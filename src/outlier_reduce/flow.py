@@ -1,9 +1,11 @@
 """Exact min-cost flow by successive shortest paths with potentials.
 
-Small dense graphs only; float arc costs must be nonnegative. Reduced
-costs are compared with a 1e-12 tolerance, and Dijkstra's heap orders ties
-by node id, so a given network always solves to the same flow. Arc lower
-bounds are handled by the usual imbalance transformation.
+Its one caller is ``solvers._label_window_flow`` (fractional fairness
+windows), through ``solve_transportation``. Small dense graphs only; float
+arc costs must be nonnegative. Reduced costs are compared with a 1e-12
+tolerance, and Dijkstra's heap orders ties by node id, so a given network
+always solves to the same flow. Arc lower bounds are handled by the usual
+imbalance transformation.
 """
 
 from __future__ import annotations

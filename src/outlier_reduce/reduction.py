@@ -236,24 +236,24 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
     # can never win and needs no solution. Under threads a larger index may
     # get there first; the smaller one then solves again.
     solver_cache: dict[frozenset[int], tuple[int, float | None]] = {}
-    t_matching = [0.0]
-    t_solver = [0.0]
+    timings = {"baseline": t_baseline, "sampling": t_sampling,
+               "matching": 0.0, "solver": 0.0}
 
-    def run_iteration(item) -> tuple[IterationRecord, Solution | None]:
+    def run_iteration(item):
+        """(record, solution or None, matching seconds, solver seconds)."""
         index, Y, tau = item
         start = time.perf_counter()
-        ts = time.perf_counter()
         try:
             prob = prune_left(_build_matching_problem(inst, anchors, Y, tau,
                                                       labelled), m)
             matching = solve_bmatching(prob)
         except BMatchingInfeasible:
-            t_matching[0] += time.perf_counter() - ts
-            return (IterationRecord(index, Y, tau, None, None, False,
-                                    time.perf_counter() - start), None)
-        t_matching[0] += time.perf_counter() - ts
-        removed = frozenset(Y) | matching.matched_left
+            t_match = time.perf_counter() - start
+            return (IterationRecord(index, Y, tau, None, None, False, t_match),
+                    None, t_match, 0.0)
         ts = time.perf_counter()
+        t_match = ts - start
+        removed = frozenset(Y) | matching.matched_left
         result = None
         cached = solver_cache.get(removed)
         if cached is not None and cached[0] < index:
@@ -266,22 +266,26 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
                 _validate_plugin_output(inst, x_prime, result)
             cost = None if result is None else result.cost
             solver_cache[removed] = (index, cost)
-        t_solver[0] += time.perf_counter() - ts
+        end = time.perf_counter()
         record = IterationRecord(index, Y, tau, matching.total_weight, cost,
-                                 cost is not None, time.perf_counter() - start)
-        if result is None:
-            return record, None
-        return record, Solution(outliers=removed, clusters=result.clusters,
-                                centers=result.centers, cost=result.cost)
+                                 cost is not None, end - start)
+        solution = None if result is None else Solution(
+            outliers=removed, clusters=result.clusters,
+            centers=result.centers, cost=result.cost)
+        return record, solution, t_match, end - ts
 
     records: list[IterationRecord] = []
     best: tuple[float, int, Solution, tuple, ValidTuple] | None = None
     chunk = max(1, 4 * config.parallel)
 
-    def consume(pairs, items):
+    def consume(outcomes, items):
+        # stage times are summed here, on the calling thread only
         nonlocal best
-        for (record, solution), (index, Y, tau) in zip(pairs, items):
+        for (record, solution, t_match, t_solve), (index, Y, tau) in zip(
+                outcomes, items):
             records.append(record)
+            timings["matching"] += t_match
+            timings["solver"] += t_solve
             if solution is not None:
                 key = (solution.cost, index)
                 if best is None or key < (best[0], best[1]):
@@ -308,6 +312,4 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
     return ReductionResult(
         solution=solution, records=records, q=q, effective_epsilon=eff_eps,
         beta=beta, anchors=anchors, pool=pool, chosen_Y=chosen_Y,
-        chosen_tau=chosen_tau,
-        timings={"baseline": t_baseline, "sampling": t_sampling,
-                 "matching": t_matching[0], "solver": t_solver[0]})
+        chosen_tau=chosen_tau, timings=timings)

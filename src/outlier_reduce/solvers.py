@@ -1,11 +1,12 @@
 """Outlier-free constrained solvers: exact enumeration and local search.
 
 For a fixed center tuple, the optimal feasible assignment of the remaining
-points is a transportation problem. The capacity- and size-bounded kinds
-reduce to rectangular linear sum assignment on expanded center slots
-(mandatory slots enforce lower bounds via penalized dummy rows); the
-label-window kinds run on the min-cost-flow engine, with fractional
-fairness windows enumerated per cluster-size vector using exact rational
+points is a transportation problem. Every integral one is a rectangular
+linear sum assignment on expanded center slots (``_slot_assign``; mandatory
+slots enforce lower bounds via penalized dummy rows), integral label
+windows as one per label. Fractional fairness windows fix the cluster
+sizes, which nests per-label windows inside each cluster; they alone run
+on the min-cost-flow engine, per cluster-size vector in exact rational
 arithmetic. ``solve_exact`` wraps the assignment in an enumeration over
 center subsets (ordered tuples when per-cluster bounds make clusters
 distinguishable) and is guarded by a work budget. The tuples come from a
@@ -104,54 +105,34 @@ def _assign_unconstrained(problem, centers, W):
     return clusters, cost
 
 
-def _assign_capacitated(problem, centers, W):
-    inst = problem.inst
-    n = problem.n
-    caps = [min(inst.capacity_of[f], n) for f in centers]
-    if sum(caps) < n:
+def _slot_assign(W, lower, upper):
+    """Cheapest map of the rows of W onto its columns, column i taking
+    between lower[i] and upper[i] rows; (assign, cost) or None.
+
+    Column i becomes min(upper[i], n) slots for one rectangular linear sum
+    assignment. When some of those slots are mandatory (the first lower[i]
+    of each column), dummy rows fill the spare slots at no cost on optional
+    slots and at more than any real assignment on mandatory ones; a dummy
+    left on a mandatory slot means no feasible map exists.
+    """
+    n = W.shape[0]
+    slots = [min(hi, n) for hi in upper]
+    if sum(slots) < n or sum(lower) > n or any(
+            lo > sl for lo, sl in zip(lower, slots)):
         return None
-    col_center = [i for i, c in enumerate(caps) for _ in range(c)]
+    col_center = [i for i, sl in enumerate(slots) for _ in range(sl)]
     cost_matrix = W[:, col_center]
+    if any(lower):
+        mandatory = [j < lo for lo, sl in zip(lower, slots) for j in range(sl)]
+        big = (float(W.max(initial=0.0)) + 1.0) * (n + 1)
+        dummy = np.where(mandatory, big, 0.0)
+        cost_matrix = np.vstack([cost_matrix,
+                                 np.tile(dummy, (len(col_center) - n, 1))])
     rows, cols = linear_sum_assignment(cost_matrix)
-    assign = [0] * n
-    for r, c in zip(rows, cols):
-        assign[r] = col_center[c]
-    cost = float(cost_matrix[rows, cols].sum())
-    return _clusters_from_assignment(problem, assign, len(centers)), cost
-
-
-def _assign_size_bounds(problem, centers, W):
-    spec = problem.inst.constraint
-    n = problem.n
-    k = len(centers)
-    slots = [min(spec.l[i], n) for i in range(k)]
-    if any(spec.r[i] > slots[i] for i in range(k)) or sum(spec.r) > n:
-        return None
-    total_slots = sum(slots)
-    if total_slots < n:
-        return None
-    col_center, col_mandatory = [], []
-    for i in range(k):
-        for j in range(slots[i]):
-            col_center.append(i)
-            col_mandatory.append(j < spec.r[i])
-    num_dummy = total_slots - n
-    big = (float(W.max(initial=0.0)) + 1.0) * (n + 1)
-    cost_matrix = np.zeros((total_slots, total_slots))
-    if n:
-        cost_matrix[:n, :] = W[:, col_center]
-    for d in range(num_dummy):
-        cost_matrix[n + d, :] = [big if mand else 0.0 for mand in col_mandatory]
-    rows, cols = linear_sum_assignment(cost_matrix)
-    assign = [0] * n
-    for r, c in zip(rows, cols):
-        if r < n:
-            assign[r] = col_center[c]
-        elif col_mandatory[c]:
-            return None  # a required slot went unfilled
-    clusters = _clusters_from_assignment(problem, assign, k)
-    cost = float(sum(cost_matrix[r, c] for r, c in zip(rows, cols) if r < n))
-    return clusters, cost
+    if any(lower) and any(mandatory[c] for c in cols[n:].tolist()):
+        return None  # a required slot went unfilled
+    cost = float(cost_matrix[rows[:n], cols[:n]].sum())
+    return [col_center[c] for c in cols[:n].tolist()], cost
 
 
 def _ceil_frac(frac: Fraction, scale: int) -> int:
@@ -166,7 +147,8 @@ def _label_window_flow(problem, centers, W, windows, sizes):
     """Min-cost assignment with per-(cluster, label) count windows.
 
     windows[(i, lab)] = (lo, hi); sizes[i] = (lo, hi) window on |X_i|.
-    Returns (clusters, cost) or None.
+    Returns (clusters, cost) or None. Only fractional fairness windows,
+    whose cluster sizes are fixed, need this flow.
     """
     inst = problem.inst
     n = problem.n
@@ -206,53 +188,59 @@ def _label_window_flow(problem, centers, W, windows, sizes):
     return clusters, float(cost)
 
 
-def _assign_label_bounds(problem, centers, W):
+def _assign_label_windows(problem, W):
+    """Integral label windows: cluster sizes are free, so each label's
+    window binds only its own points, one slot assignment per label."""
+    spec = problem.inst.constraint
+    lo_map = spec.min_per_label or {}
+    hi_map = spec.max_per_label or {}
+    n, k = W.shape
+    labels = [problem.inst.label_of[x] for x in problem.X_prime]
+    assign = [0] * n
+    cost = 0.0
+    for lab in problem.inst.label_names:
+        rows = [u for u in range(n) if labels[u] == lab]
+        res = _slot_assign(W[rows], [lo_map.get(lab, 0)] * k,
+                           [hi_map.get(lab, n)] * k)
+        if res is None:
+            return None
+        for u, i in zip(rows, res[0]):
+            assign[u] = i
+        cost += res[1]
+    return assign, cost
+
+
+def _assign_fractional(problem, centers, W):
+    """Fractional windows depend on the cluster size, so enumerate exact
+    cluster-size vectors and take the best feasible flow."""
     spec = problem.inst.constraint
     n = problem.n
     k = len(centers)
-    if not spec.fractional:
-        lo_map = spec.min_per_label or {}
-        hi_map = spec.max_per_label or {}
-        windows = {}
-        for i in range(k):
-            for lab in problem.inst.label_names:
-                windows[(i, lab)] = (lo_map.get(lab, 0),
-                                     min(hi_map.get(lab, n), n))
-        sizes = {i: (0, n) for i in range(k)}
-        return _label_window_flow(problem, centers, W, windows, sizes)
-
-    # fractional windows depend on the cluster size, so enumerate exact
-    # cluster-size vectors and take the best feasible flow
     num_vectors = math.comb(n + k - 1, k - 1)
     if num_vectors * max(n, 1) > FRACTIONAL_SIZE_VECTOR_BUDGET:
         raise ExactBudgetExceeded(
             f"{num_vectors} cluster-size vectors exceed the fractional "
             "fairness budget; use the local-search solver")
+    labels = problem.inst.label_names
     alpha = spec.alpha or {}
     beta = spec.beta or {}
+
+    def size_windows(sz):
+        """Per-label count windows of a cluster of size sz, or None."""
+        win = {lab: (_ceil_frac(alpha.get(lab, Fraction(0)), sz),
+                     min(_floor_frac(beta.get(lab, Fraction(1)), sz), sz))
+               for lab in labels}
+        lo_sum, hi_sum = (sum(ends) for ends in zip(*win.values()))
+        feasible = all(lo <= hi for lo, hi in win.values())
+        return win if feasible and lo_sum <= sz <= hi_sum else None
+
+    per_size = [size_windows(sz) for sz in range(n + 1)]
     best = None
     for sizes_vec in _compositions(n, k):
-        windows = {}
-        ok = True
-        for i, sz in enumerate(sizes_vec):
-            lo_sum = 0
-            hi_sum = 0
-            for lab in problem.inst.label_names:
-                a = alpha.get(lab, Fraction(0))
-                b = beta.get(lab, Fraction(1))
-                lo = _ceil_frac(a, sz)
-                hi = min(_floor_frac(b, sz), sz)
-                if lo > hi:
-                    ok = False
-                    break
-                windows[(i, lab)] = (lo, hi)
-                lo_sum += lo
-                hi_sum += hi
-            if not ok or lo_sum > sz or hi_sum < sz:
-                ok = False
-                break
-        if not ok:
+        if any(per_size[sz] is None for sz in sizes_vec):
             continue
+        windows = {(i, lab): per_size[sz][lab]
+                   for i, sz in enumerate(sizes_vec) for lab in labels}
         sizes = {i: (sz, sz) for i, sz in enumerate(sizes_vec)}
         res = _label_window_flow(problem, centers, W, windows, sizes)
         if res is not None and (best is None or res[1] < best[1] - IMPROVE_ATOL):
@@ -264,7 +252,8 @@ def _assign_with_matrix(problem: OutlierFreeProblem, centers: tuple[int, ...],
                         W: np.ndarray):
     """Dispatch on constraint kind; W is the n' x k powered-cost matrix for
     exactly these centers (columns aligned with the center tuple)."""
-    kind = problem.inst.constraint.kind
+    spec = problem.inst.constraint
+    kind = spec.kind
     if kind in ("unconstrained", "outlier_label_quota"):
         clusters, cost = _assign_unconstrained(problem, centers, W)
         if kind == "outlier_label_quota" and not check(problem.inst, clusters,
@@ -272,12 +261,19 @@ def _assign_with_matrix(problem: OutlierFreeProblem, centers: tuple[int, ...],
             return None
         return clusters, cost
     if kind == "capacitated":
-        return _assign_capacitated(problem, centers, W)
-    if kind == "size_bounds":
-        return _assign_size_bounds(problem, centers, W)
-    if kind == "label_bounds":
-        return _assign_label_bounds(problem, centers, W)
-    raise AssertionError(kind)
+        caps = [problem.inst.capacity_of[f] for f in centers]
+        res = _slot_assign(W, [0] * len(centers), caps)
+    elif kind == "size_bounds":
+        res = _slot_assign(W, spec.r, spec.l)
+    elif kind == "label_bounds" and spec.fractional:
+        return _assign_fractional(problem, centers, W)
+    elif kind == "label_bounds":
+        res = _assign_label_windows(problem, W)
+    else:
+        raise AssertionError(kind)
+    if res is None:
+        return None
+    return _clusters_from_assignment(problem, res[0], len(centers)), res[1]
 
 
 def assign_given_centers(problem: OutlierFreeProblem,

@@ -1,8 +1,10 @@
-"""Shared builders and independent brute-force oracles for the tests.
+"""Shared builders, independent brute-force oracles and reference solvers.
 
 The enumeration oracles here intentionally share no code with the flow /
 assignment engines they certify: b-matchings are enumerated
-subset-by-subset, assignments point-by-point.
+subset-by-subset, assignments point-by-point. ``ssp_bmatching`` is the
+earlier b-matching engine, a min-cost flow on ``flow.FlowNetwork``, kept
+to check the assignment-based one edge for edge.
 """
 
 from __future__ import annotations
@@ -77,6 +79,55 @@ def random_bmatching_problem(rng, labelled=False, max_left=8, max_right=3,
                             weights=weights, demands=tuple(demands),
                             left_labels=left_labels,
                             label_demands=label_demands)
+
+
+def ssp_bmatching(prob):
+    """Min-cost b-matching by successive shortest paths on a flow network.
+
+    Unlabelled: source -> left (1) -> right (1, w) -> sink (t_j). Labelled:
+    right vertex j becomes t_j unit copies, each reachable only from left
+    vertices of its label. Returns a ``BMatchingSolution`` whose edges and
+    weight are summed in (left, right) order, or raises
+    ``BMatchingInfeasible``.
+    """
+    from outlier_reduce.bmatching import (BMatchingInfeasible,
+                                          BMatchingSolution)
+    from outlier_reduce.flow import FlowInfeasible, FlowNetwork
+
+    nl = len(prob.left)
+    if prob.labelled:
+        targets = [(j, lab) for j, psi in enumerate(prob.label_demands)
+                   for lab in sorted(psi) for _ in range(psi[lab])]
+        caps = [1] * len(targets)
+    else:
+        targets = [(j, None) for j in range(len(prob.right))]
+        caps = list(prob.demands)
+    src, snk = nl + len(targets), nl + len(targets) + 1
+    net = FlowNetwork(nl + len(targets) + 2)
+    for u in range(nl):
+        net.add_arc(src, u, 1, 0.0)
+    edge_arcs = {}
+    for c, (j, lab) in enumerate(targets):
+        if caps[c] == 0:
+            continue
+        for u in range(nl):
+            if lab is None or prob.left_labels[u] == lab:
+                edge_arcs[(u, c)] = net.add_arc(u, nl + c, 1,
+                                                float(prob.weights[u, j]))
+        net.add_arc(nl + c, snk, caps[c], 0.0)
+    try:
+        net.solve(src, snk, prob.total_demand)
+    except FlowInfeasible:
+        raise BMatchingInfeasible("demands cannot be met") from None
+    edges = []
+    weight = 0.0
+    for (u, c), arc in sorted(edge_arcs.items()):
+        if net.flow_on(arc) > 0:
+            j = targets[c][0]
+            edges.append((prob.left[u], prob.right[j]))
+            weight += float(prob.weights[u, j])
+    return BMatchingSolution(tuple(edges), weight,
+                             frozenset(u for u, _ in edges))
 
 
 def brute_bmatching(weights, demands, left_labels=None, label_demands=None):

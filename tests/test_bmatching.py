@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from outlier_reduce.bmatching import (BMatchingInfeasible, BMatchingProblem,
                                       prune_left, solve_bmatching)
-from helpers import brute_bmatching, random_bmatching_problem
+from helpers import brute_bmatching, random_bmatching_problem, ssp_bmatching
 
 
 def make_problem(weights, demands, left_labels=None, label_demands=None):
@@ -182,3 +182,76 @@ def test_exactness_property(seed):
         recomputed = sum(float(prob.weights[u, prob.right.index(j)])
                          for u, j in sol.edges)
         assert recomputed == pytest.approx(sol.total_weight, abs=1e-9)
+
+
+def outcome(solve, prob):
+    try:
+        return solve(prob)
+    except BMatchingInfeasible:
+        return None
+
+
+def over_demanded(prob):
+    """The problem with one more unit of demand than it has left vertices."""
+    extra = len(prob.left) + 1 - prob.total_demand
+    label_demands = prob.label_demands
+    if prob.labelled:
+        first = dict(label_demands[0])
+        first[prob.left_labels[0]] = first.get(prob.left_labels[0], 0) + extra
+        label_demands = (first,) + label_demands[1:]
+    return BMatchingProblem(prob.left, prob.right, prob.weights,
+                            (prob.demands[0] + extra,) + prob.demands[1:],
+                            prob.left_labels, label_demands)
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_matches_ssp_reference(labelled):
+    # distinct random weights make the optimal matching unique, so both
+    # engines must pick the same edges and sum them in the same order
+    rng = np.random.default_rng(47 + labelled)
+    feasible = infeasible = 0
+    for _ in range(200):
+        prob = random_problem(rng, labelled=labelled, max_left=14,
+                              max_right=4)
+        pruned = prune_left(prob, int(rng.integers(0, 4)))
+        for p in (prob, pruned, over_demanded(prob)):
+            got, want = outcome(solve_bmatching, p), outcome(ssp_bmatching, p)
+            if want is None:
+                assert got is None
+                infeasible += 1
+                continue
+            feasible += 1
+            assert got.edges == want.edges
+            assert got.total_weight.hex() == want.total_weight.hex()
+            assert got.matched_left == want.matched_left
+    assert feasible > 250 and infeasible >= 200
+
+
+def test_equal_weights_take_lowest_free_positions():
+    # the shape of an integer-distance (Ulam) tie: six clients at 9, one at 0
+    prob = make_problem([[9.0]] * 6 + [[0.0]], [2])
+    assert solve_bmatching(prob).matched_left == {0, 6}
+    labelled = make_problem([[9.0, 4.0]] * 6 + [[0.0, 4.0]], [2, 2],
+                            ("b", "a", "b", "a", "b", "a", "a"),
+                            ({"a": 1, "b": 1}, {"a": 2}))
+    assert solve_bmatching(labelled).edges == ((0, 0), (1, 1), (3, 1), (6, 0))
+
+
+def test_ties_resolved_to_lowest_positions_random():
+    rng = np.random.default_rng(48)
+    for _ in range(300):
+        prob = random_problem(rng, labelled=bool(rng.integers(0, 2)),
+                              max_left=12, max_right=4)
+        prob = make_problem(np.floor(prob.weights / 3), prob.demands,
+                            prob.left_labels, prob.label_demands)
+        try:
+            sol = solve_bmatching(prob)
+        except BMatchingInfeasible:
+            continue
+        assert sol.total_weight == ssp_bmatching(prob).total_weight
+        labels = prob.left_labels or (None,) * len(prob.left)
+        for u, j in sol.edges:
+            assert not any(v < u and v not in sol.matched_left
+                           and labels[v] == labels[u]
+                           and prob.weights[v, j] == prob.weights[u, j]
+                           for v in range(len(prob.left)))

@@ -1,8 +1,11 @@
 import math
 import sys
+import time
+import types
 
 import pytest
 
+from outlier_reduce import reduction
 from outlier_reduce.instance import validate_solution
 from outlier_reduce.oracle import exact_outlier_opt
 from outlier_reduce.reduction import (ReductionConfig, ReductionInfeasible,
@@ -223,3 +226,33 @@ def test_parallel_matches_serial_when_removed_sets_repeat():
     assert threaded.chosen_tau == serial.chosen_tau
     assert threaded.solution == serial.solution
     assert records(threaded) == records(serial)
+
+
+def test_parallel_stage_times_count_every_call(monkeypatch):
+    # each solver call sleeps 2 ms, so the solver stage must sum to at
+    # least that per call however the worker threads interleave; the
+    # driver's clock yields the GIL on every reading to invite a switch
+    # between reading a shared total and writing it back
+    inst = generate_instance(GeneratorConfig(n=12, k=2, m=2), seed=3)
+    calls = []
+
+    def sleeping_solve(problem, rng_seed=0):
+        calls.append(None)
+        time.sleep(0.002)
+        return EXACT.solve(problem, rng_seed)
+
+    def yielding_clock():
+        time.sleep(0)
+        return time.perf_counter()
+
+    monkeypatch.setattr(reduction, "time",
+                        types.SimpleNamespace(perf_counter=yielding_clock))
+    plugin = SolverPlugin("exact", sleeping_solve, EXACT.exactness)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = run_reduction(inst, exhaustive_config(parallel=4), plugin)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) > 50
+    assert res.timings["solver"] >= len(calls) * 0.002

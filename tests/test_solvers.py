@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outlier_reduce import solvers
-from outlier_reduce.instance import validate_solution, Solution
+from outlier_reduce.instance import check, validate_solution, Solution
 from outlier_reduce.solvers import (IMPROVE_ATOL, ExactBudgetExceeded,
                                     OutlierFreeProblem, SolverResult,
                                     _assign_with_matrix, assign_given_centers,
@@ -321,3 +321,60 @@ def test_center_tuple_table():
     assert (solvers._center_tuples(4, 3, True).tolist()
             == [list(t) for t in itertools.permutations(range(4), 3)])
     assert solvers._center_tuples(5, 2, False) is table
+
+
+def flow_label_windows(problem, centers, W):
+    """Integral label windows solved as one flow with free cluster sizes."""
+    spec = problem.inst.constraint
+    n, k = problem.n, len(centers)
+    windows = {(i, lab): ((spec.min_per_label or {}).get(lab, 0),
+                          min((spec.max_per_label or {}).get(lab, n), n))
+               for i in range(k) for lab in problem.inst.label_names}
+    return solvers._label_window_flow(problem, centers, W, windows,
+                                      {i: (0, n) for i in range(k)})
+
+
+def test_integral_label_windows_match_flow():
+    rng = np.random.default_rng(21)
+    seen = {"feasible": 0, "infeasible": 0, "binding": 0, "short": 0,
+            "absent": 0}
+    for trial in range(150):
+        k = int(rng.integers(1, 4))
+        xs = sorted(set(rng.uniform(0, 20, size=12).round(6).tolist()))
+        labels = [("a", "b", "c")[int(rng.integers(0, 3))] for _ in xs]
+        labels[:3] = rng.permutation(["a", "b", "c"]).tolist()  # all occur
+        mins = {lab: int(rng.integers(0, 3 if lab == "c" else 2))
+                for lab in "abc"}
+        maxs = {lab: mins[lab] + int(rng.integers(0, 5)) for lab in "ab"}
+        inst = line_instance(xs, k=k, m=3, z=1 + trial % 2, labels=labels,
+                             constraint={"kind": "label_bounds",
+                                         "min_per_label": mins,
+                                         "max_per_label": maxs})
+        keep = [x for x in inst.X if rng.random() > 0.2]
+        if trial % 5 == 0:  # drop every point of label "c" from X'
+            keep = [x for x in keep if inst.label_of[x] != "c"]
+        prob = OutlierFreeProblem(inst, tuple(keep))
+        centers = tuple(inst.F[i] for i in sorted(
+            rng.choice(len(inst.F), size=k, replace=False)))
+        W = prob.weight_matrix()[:, [inst.fpos[f] for f in centers]]
+        got = _assign_with_matrix(prob, centers, W)
+        want = flow_label_windows(prob, centers, W)
+        assert (got is None) == (want is None)
+        counts = {lab: sum(inst.label_of[x] == lab for x in keep)
+                  for lab in "abc"}
+        seen["absent"] += counts["c"] == 0
+        if any(counts[lab] < k * mins[lab] for lab in "abc"):
+            seen["short"] += 1
+            assert want is None
+        if want is None:
+            seen["infeasible"] += 1
+            continue
+        seen["feasible"] += 1
+        seen["binding"] += any(0 < counts[lab] == k * mins[lab]
+                               for lab in "abc")
+        assert abs(got[1] - want[1]) <= 1e-9
+        assert got[1] == pytest.approx(sum(
+            inst.powered_xf(x, centers[i])
+            for i, c in enumerate(got[0]) for x in c), abs=1e-9)
+        assert check(inst, got[0], centers)
+    assert min(seen.values()) >= 5, seen

@@ -13,18 +13,27 @@ solve. Among equal-weight optima each match moves to the lowest free left
 position of its label and weight, so ties follow the left order rather
 than the assignment code's. The matching is exact; heuristics are
 deliberately not offered.
+
+``prune_left`` keeps, per right vertex (and label), the nearest
+max(m, total demand) left vertices. Its rule comes in two steps, so that
+a caller can sort once and prune many times: ``nearest_orders`` sorts
+each right vertex's left positions by (weight, position), and
+``select_nearest`` takes the first entries of each order outside an
+excluded set. The reduction sorts every anchor's clients once per run and
+excludes each pair's Y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence, Set as AbstractSet
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 __all__ = ["BMatchingProblem", "BMatchingSolution", "BMatchingInfeasible",
-           "solve_bmatching", "prune_left"]
+           "solve_bmatching", "prune_left", "nearest_orders",
+           "select_nearest"]
 
 
 class BMatchingInfeasible(Exception):
@@ -153,6 +162,38 @@ def solve_bmatching(prob: BMatchingProblem) -> BMatchingSolution:
     return BMatchingSolution(tuple(edges), weight, matched)
 
 
+def nearest_orders(
+        weights: np.ndarray,
+        left_labels: Sequence[str] | None = None) -> list[np.ndarray]:
+    """Left positions by (weight, position), one order per right vertex.
+
+    With ``left_labels``, one order per (right vertex, label) pair, each
+    holding only that label's positions. The orders depend on the weights
+    alone, so a caller that removes different left vertices from one
+    weight block can sort once and select many times.
+    """
+    nl, nr = weights.shape
+    if left_labels is None:
+        groups = [np.arange(nl)]
+    else:
+        labels = np.asarray(left_labels)
+        groups = [np.flatnonzero(labels == lab)
+                  for lab in sorted(set(left_labels))]
+    return [g[np.lexsort((g, weights[g, j]))]
+            for j in range(nr) for g in groups]
+
+
+def select_nearest(orders: Sequence[np.ndarray], keep_count: int,
+                   excluded: AbstractSet[int] = frozenset()) -> list[int]:
+    """Sorted union of each order's first ``keep_count`` positions that are
+    not in ``excluded``; the pruning rule of ``prune_left``."""
+    keep: set[int] = set()
+    for order in orders:
+        head = order[:keep_count + len(excluded)].tolist()
+        keep.update([u for u in head if u not in excluded][:keep_count])
+    return sorted(keep)
+
+
 def prune_left(prob: BMatchingProblem, m: int) -> BMatchingProblem:
     """Restrict the left side to each right vertex's nearest clients.
 
@@ -164,21 +205,10 @@ def prune_left(prob: BMatchingProblem, m: int) -> BMatchingProblem:
     labels when labelled).
     """
     keep_count = max(m, prob.total_demand)
-    nl = len(prob.left)
-    if nl <= keep_count:
+    if len(prob.left) <= keep_count:
         return prob
-    keep: set[int] = set()
-    for j in range(len(prob.right)):
-        col = prob.weights[:, j]
-        if not prob.labelled:
-            order = np.lexsort((np.arange(nl), col))  # weight, then position
-            keep.update(int(u) for u in order[:keep_count])
-        else:
-            for lab in set(prob.left_labels):
-                members = [u for u in range(nl) if prob.left_labels[u] == lab]
-                members.sort(key=lambda u: (col[u], u))
-                keep.update(members[:keep_count])
-    kept = sorted(keep)
+    kept = select_nearest(nearest_orders(prob.weights, prob.left_labels),
+                          keep_count)
     return BMatchingProblem(
         left=tuple(prob.left[u] for u in kept),
         right=prob.right,

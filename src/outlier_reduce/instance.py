@@ -44,6 +44,8 @@ from fractions import Fraction
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
+import numpy as np
+
 from .metric import COST_ATOL, MetricSpace, euclidean_space, matrix_space, ulam_space
 
 __all__ = [
@@ -208,6 +210,9 @@ class ClusteringInstance:
         self.pow_xf = space.powered_rows(self.X, self.F)
         self.pow_xf.flags.writeable = False
         self.xpos = {x: i for i, x in enumerate(self.X)}
+        # X as a read-only array, so residuals given by position map to refs
+        self.x_refs = np.array(self.X, dtype=np.intp)
+        self.x_refs.flags.writeable = False
         self.fpos = {f: j for j, f in enumerate(self.F)}
 
     @property

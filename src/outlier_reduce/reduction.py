@@ -9,6 +9,14 @@ every anchor, exactly tau_j nearby points (the near-outlier guesses), the
 union of Y and the matched points is discarded, and the pluggable solver
 clusters the rest. The cheapest feasible solution over all pairs wins.
 
+What does not depend on the pair is prepared once per run: the X x
+anchors cost block, and each anchor's clients (per label when labelled)
+sorted by (cost, position). A pair's matching then takes the first
+max(m, sum(tau)) entries of each order that are not in Y, the left side
+that pruning the pair's full problem would keep, and its residual reaches
+the solver as positions into X (``OutlierFreeProblem.rows``). The time
+spent preparing counts toward the matching stage.
+
 Points of Y never appear on the matching's left side, so no point is
 removed twice. Duplicate pool draws collapse before subset enumeration;
 identical Y sets would produce identical subinstances. Pairs that remove
@@ -32,9 +40,13 @@ from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterator
 
+import numpy as np
+
 from .baseline import AnchorSet, solve_unconstrained
-from .bmatching import (BMatchingInfeasible, BMatchingProblem, prune_left,
-                        solve_bmatching)
+# prune_left is not called here, but it stays importable from this module:
+# bench/tracing.py wraps reduction.prune_left by name
+from .bmatching import (BMatchingInfeasible, BMatchingProblem, nearest_orders,
+                        prune_left, select_nearest, solve_bmatching)
 from .instance import ClusteringInstance, Solution, check
 from .sampling import SamplePool, dz_sample, exhaustive_pool, sample_size
 from .solvers import OutlierFreeProblem, SolverPlugin, _compositions
@@ -159,31 +171,64 @@ def enumerate_valid_tuples(residual: int, slots: int,
                 yield ValidTuple(t=t, psi=tuple(combo))
 
 
-def _build_matching_problem(inst: ClusteringInstance, anchors: AnchorSet,
-                            Y: tuple[int, ...], tau: ValidTuple,
-                            labelled: bool) -> BMatchingProblem:
-    yset = set(Y)
-    left = tuple(x for x in inst.X if x not in yset)
-    weights = inst.space.powered_rows(left, anchors.centers)
-    if not labelled:
-        return BMatchingProblem(left=left, right=anchors.centers,
-                                weights=weights, demands=tau.t)
-    label_demands = tuple(dict(zip(inst.label_names, psi_j))
-                          for psi_j in tau.psi)
-    left_labels = tuple(inst.label_of[x] for x in left)
-    return BMatchingProblem(left=left, right=anchors.centers, weights=weights,
-                            demands=tau.t, left_labels=left_labels,
-                            label_demands=label_demands)
+class _Prepared:
+    """Pair-independent state of one run, built once before the pairs.
+
+    The X x anchors block is read once, and each anchor's clients (per
+    label when labelled) are sorted once by (weight, position). A pair's
+    matching problem takes, per order, the first entries outside Y; that is
+    the left side ``prune_left`` keeps on the pair's full problem (X minus Y
+    against the anchors), because removing Y keeps the clients in X order.
+    Residuals are passed to the solver by their positions in X.
+    """
+
+    def __init__(self, inst: ClusteringInstance, anchors: AnchorSet,
+                 labelled: bool):
+        self.inst = inst
+        self.right = anchors.centers
+        self.labels = inst.labels if labelled else None
+        self.weights = inst.space.powered_rows(inst.X, self.right)
+        self.orders = nearest_orders(self.weights, self.labels)
+
+    def matching_problem(self, Y: tuple[int, ...],
+                         tau: ValidTuple) -> BMatchingProblem:
+        """The pair's b-matching, pruned as ``prune_left(..., m)`` would.
+
+        When at most max(m, sum(tau)) clients remain outside Y, each order
+        yields all of its clients outside Y: nothing is pruned, as in
+        prune_left.
+        """
+        inst = self.inst
+        kept = select_nearest(self.orders, max(inst.m, sum(tau.t)),
+                              {inst.xpos[y] for y in Y})
+        left = tuple(inst.X[u] for u in kept)
+        weights = self.weights[kept]
+        if self.labels is None:
+            return BMatchingProblem(left=left, right=self.right,
+                                    weights=weights, demands=tau.t)
+        label_demands = tuple(dict(zip(inst.label_names, psi_j))
+                              for psi_j in tau.psi)
+        return BMatchingProblem(
+            left=left, right=self.right, weights=weights,
+            demands=tau.t, left_labels=tuple(self.labels[u] for u in kept),
+            label_demands=label_demands)
+
+    def residual(self, removed: frozenset[int]) -> OutlierFreeProblem:
+        """The outlier-free problem on X minus ``removed``."""
+        inst = self.inst
+        rows = np.delete(np.arange(inst.n), [inst.xpos[x] for x in removed])
+        return OutlierFreeProblem(inst, tuple(inst.x_refs[rows].tolist()),
+                                  rows)
 
 
 def _validate_plugin_output(inst: ClusteringInstance, x_prime: tuple[int, ...],
                             result) -> None:
-    clustered: set[int] = set()
-    total = 0
-    for c in result.clusters:
-        clustered |= set(c)
-        total += len(c)
-    if total != len(clustered) or clustered != set(x_prime):
+    # X' has distinct members, so sizes summing to |X'| and a union of
+    # |X'| members that contains X' make the clusters a partition of X'
+    clustered = set().union(*result.clusters)
+    if (sum(len(c) for c in result.clusters) != len(x_prime)
+            or len(clustered) != len(x_prime)
+            or not clustered.issuperset(x_prime)):
         raise PluginContractError(
             "plugin clustering does not partition the residual point set")
     if len(result.centers) != inst.k:
@@ -225,6 +270,9 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
 
     labelled = inst.constraint.uses_labels
     num_labels = len(inst.label_names) if labelled else None
+    t0 = time.perf_counter()
+    prepared = _Prepared(inst, anchors, labelled)
+    t_prepare = time.perf_counter() - t0
     iterations = []
     for Y in enumerate_outlier_subsets(pool, m):
         for tau in enumerate_valid_tuples(m - len(Y), num_anchors, num_labels):
@@ -237,16 +285,14 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
     # get there first; the smaller one then solves again.
     solver_cache: dict[frozenset[int], tuple[int, float | None]] = {}
     timings = {"baseline": t_baseline, "sampling": t_sampling,
-               "matching": 0.0, "solver": 0.0}
+               "matching": t_prepare, "solver": 0.0}
 
     def run_iteration(item):
         """(record, solution or None, matching seconds, solver seconds)."""
         index, Y, tau = item
         start = time.perf_counter()
         try:
-            prob = prune_left(_build_matching_problem(inst, anchors, Y, tau,
-                                                      labelled), m)
-            matching = solve_bmatching(prob)
+            matching = solve_bmatching(prepared.matching_problem(Y, tau))
         except BMatchingInfeasible:
             t_match = time.perf_counter() - start
             return (IterationRecord(index, Y, tau, None, None, False, t_match),
@@ -259,11 +305,10 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
         if cached is not None and cached[0] < index:
             cost = cached[1]
         else:
-            x_prime = tuple(x for x in inst.X if x not in removed)
-            result = plugin.solve(OutlierFreeProblem(inst, x_prime),
-                                  config.baseline_seed)
+            problem = prepared.residual(removed)
+            result = plugin.solve(problem, config.baseline_seed)
             if result is not None:
-                _validate_plugin_output(inst, x_prime, result)
+                _validate_plugin_output(inst, problem.X_prime, result)
             cost = None if result is None else result.cost
             solver_cache[removed] = (index, cost)
         end = time.perf_counter()

@@ -16,6 +16,11 @@ a lower bound for the constrained ones; only tuples whose bound beats the
 incumbent reach the assignment engines. ``solve_local_search`` swaps
 single centers greedily and accepts only strict improvements.
 
+An ``OutlierFreeProblem`` carries its residual both as refs (``X_prime``)
+and as their positions in the parent's X (``rows``), which the reduction
+passes and a hand-built problem may omit. The solvers gather their cost
+rows through ``rows``, with no per-point lookups.
+
 Anything implementing the one-function plugin signature can replace the
 shipped solvers; the reduction driver treats them interchangeably.
 """
@@ -25,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -60,10 +65,22 @@ class ExactBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class OutlierFreeProblem:
-    """Residual clustering problem on X' with the parent's F, k, constraint."""
+    """Residual clustering problem on X' with the parent's F, k, constraint.
+
+    ``rows[i]`` is the position of ``X_prime[i]`` in ``inst.X``. A caller
+    that knows the positions passes them; otherwise they are looked up.
+    """
 
     inst: ClusteringInstance
     X_prime: tuple[int, ...]
+    rows: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            xpos = self.inst.xpos
+            object.__setattr__(self, "rows", np.fromiter(
+                (xpos[x] for x in self.X_prime), dtype=np.intp,
+                count=len(self.X_prime)))
 
     @property
     def n(self) -> int:
@@ -71,8 +88,7 @@ class OutlierFreeProblem:
 
     def weight_matrix(self) -> np.ndarray:
         """Powered distances X' x F, rows aligned with X_prime."""
-        rows = [self.inst.xpos[x] for x in self.X_prime]
-        return self.inst.pow_xf[rows, :]
+        return self.inst.pow_xf[self.rows]
 
 
 @dataclass(frozen=True)
@@ -91,17 +107,18 @@ class SolverPlugin:
 
 def _clusters_from_assignment(problem: OutlierFreeProblem,
                               assign: list[int], k: int):
-    groups: list[set[int]] = [set() for _ in range(k)]
+    # a plain loop: numpy selections are no faster at n = 2000 and twice
+    # as slow at n = 30, where local search calls this once per swap trial
+    groups: list[list[int]] = [[] for _ in range(k)]
     for x, i in zip(problem.X_prime, assign):
-        groups[i].add(x)
+        groups[i].append(x)
     return tuple(frozenset(g) for g in groups)
 
 
 def _assign_unconstrained(problem, centers, W):
     cols = W.argmin(axis=1) if W.size else np.zeros(0, dtype=int)
     cost = float(W[np.arange(len(problem.X_prime)), cols].sum()) if W.size else 0.0
-    clusters = _clusters_from_assignment(problem, [int(c) for c in cols],
-                                         len(centers))
+    clusters = _clusters_from_assignment(problem, cols.tolist(), len(centers))
     return clusters, cost
 
 
@@ -190,10 +207,15 @@ def _label_window_flow(problem, centers, W, windows, sizes):
 
 def _assign_label_windows(problem, W):
     """Integral label windows: cluster sizes are free, so each label's
-    window binds only its own points, one slot assignment per label."""
+    window binds only its own points, one slot assignment per label.
+    A positive minimum for a label no client carries, which ``check``
+    enforces, makes every assignment infeasible."""
     spec = problem.inst.constraint
     lo_map = spec.min_per_label or {}
     hi_map = spec.max_per_label or {}
+    if any(need > 0 and lab not in problem.inst.label_names
+           for lab, need in lo_map.items()):
+        return None
     n, k = W.shape
     labels = [problem.inst.label_of[x] for x in problem.X_prime]
     assign = [0] * n

@@ -4,7 +4,10 @@ The enumeration oracles here intentionally share no code with the flow /
 assignment engines they certify: b-matchings are enumerated
 subset-by-subset, assignments point-by-point. ``ssp_bmatching`` is the
 earlier b-matching engine, a min-cost flow on ``flow.FlowNetwork``, kept
-to check the assignment-based one edge for edge.
+to check the assignment-based one edge for edge. ``reference_reduction``
+is the earlier per-pair loop of ``run_reduction``, which built and pruned
+each pair's matching problem over all clients and handed the solver X' as
+a tuple of refs; it checks the prepared pipeline record for record.
 """
 
 from __future__ import annotations
@@ -212,7 +215,12 @@ def brute_assignment(inst: ClusteringInstance, x_prime, centers):
         feasible = ((counts >= r) & (counts <= l)).all(axis=1)
     elif spec.kind == "label_bounds":
         feasible = np.ones(len(assigns), dtype=bool)
-        for lab in inst.label_names:
+        # like check(), hold every cluster to each integral minimum, also
+        # one for a label that no client carries
+        labels = set(inst.label_names)
+        if not spec.fractional:
+            labels |= set(spec.min_per_label or {})
+        for lab in sorted(labels):
             pts = [t for t, x in enumerate(x_prime)
                    if inst.label_of[x] == lab]
             lab_counts = np.stack(
@@ -251,3 +259,92 @@ def brute_outlier_opt(inst: ClusteringInstance):
                 if c is not None and (best is None or c < best - 1e-12):
                     best = c
     return best
+
+
+def build_matching_problem(inst: ClusteringInstance, anchors, Y, tau,
+                           labelled: bool):
+    """The full b-matching problem of one (Y, tau) pair: X minus Y against
+    the anchors, read from the metric for that pair alone."""
+    from outlier_reduce.bmatching import BMatchingProblem
+
+    yset = set(Y)
+    left = tuple(x for x in inst.X if x not in yset)
+    weights = inst.space.powered_rows(left, anchors.centers)
+    if not labelled:
+        return BMatchingProblem(left=left, right=anchors.centers,
+                                weights=weights, demands=tau.t)
+    label_demands = tuple(dict(zip(inst.label_names, psi_j))
+                          for psi_j in tau.psi)
+    left_labels = tuple(inst.label_of[x] for x in left)
+    return BMatchingProblem(left=left, right=anchors.centers, weights=weights,
+                            demands=tau.t, left_labels=left_labels,
+                            label_demands=label_demands)
+
+
+def reference_reduction(inst: ClusteringInstance, config, plugin):
+    """Serial reduction that rebuilds every pair from scratch.
+
+    Returns (records, solution, chosen_Y, chosen_tau, q), with every
+    ``wall_time`` 0.0, or None when no pair is feasible. Anchors, pool and
+    pair order come from the same public steps as ``run_reduction``.
+    """
+    from outlier_reduce.baseline import solve_unconstrained
+    from outlier_reduce.bmatching import (BMatchingInfeasible, prune_left,
+                                          solve_bmatching)
+    from outlier_reduce.instance import Solution
+    from outlier_reduce.reduction import (IterationRecord,
+                                          _validate_plugin_output,
+                                          default_beta, effective_epsilon,
+                                          enumerate_outlier_subsets,
+                                          enumerate_valid_tuples)
+    from outlier_reduce.sampling import (SamplePool, dz_sample,
+                                         exhaustive_pool, sample_size)
+    from outlier_reduce.solvers import OutlierFreeProblem
+
+    z, m = inst.space.z, inst.m
+    eff_eps = effective_epsilon(config.epsilon, z, m,
+                                enabled=config.z2_substitution)
+    beta = config.beta if config.beta is not None else default_beta(z)
+    num_anchors = min(inst.k + m, len(inst.F))
+    anchors = solve_unconstrained(inst, num_anchors, config.baseline_seed)
+    if config.sampling == "exhaustive":
+        pool = exhaustive_pool(inst)
+    else:
+        count = sample_size(beta, m, eff_eps)
+        pool = (dz_sample(inst, anchors, count, config.sample_seed) if count
+                else SamplePool(draws=(), distinct=(), mode="random"))
+    labelled = inst.constraint.uses_labels
+    num_labels = len(inst.label_names) if labelled else None
+    pairs = [(Y, tau) for Y in enumerate_outlier_subsets(pool, m)
+             for tau in enumerate_valid_tuples(m - len(Y), num_anchors,
+                                               num_labels)]
+    solved: dict = {}
+    records = []
+    best = None
+    for index, (Y, tau) in enumerate(pairs):
+        try:
+            matching = solve_bmatching(prune_left(
+                build_matching_problem(inst, anchors, Y, tau, labelled), m))
+        except BMatchingInfeasible:
+            records.append(IterationRecord(index, Y, tau, None, None, False,
+                                           0.0))
+            continue
+        removed = frozenset(Y) | matching.matched_left
+        if removed in solved:
+            cost = solved[removed]
+        else:
+            x_prime = tuple(x for x in inst.X if x not in removed)
+            result = plugin.solve(OutlierFreeProblem(inst, x_prime),
+                                  config.baseline_seed)
+            if result is not None:
+                _validate_plugin_output(inst, x_prime, result)
+            cost = solved[removed] = None if result is None else result.cost
+            if result is not None and (best is None or result.cost < best[0]):
+                best = (result.cost, Solution(
+                    outliers=removed, clusters=result.clusters,
+                    centers=result.centers, cost=result.cost), Y, tau)
+        records.append(IterationRecord(index, Y, tau, matching.total_weight,
+                                       cost, cost is not None, 0.0))
+    if best is None:
+        return None
+    return records, best[1], best[2], best[3], len(pairs)

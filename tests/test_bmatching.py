@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outlier_reduce.bmatching import (BMatchingInfeasible, BMatchingProblem,
-                                      prune_left, solve_bmatching)
+                                      nearest_orders, prune_left,
+                                      select_nearest, solve_bmatching)
 from helpers import brute_bmatching, random_bmatching_problem, ssp_bmatching
 
 
@@ -255,3 +256,48 @@ def test_ties_resolved_to_lowest_positions_random():
                            and labels[v] == labels[u]
                            and prob.weights[v, j] == prob.weights[u, j]
                            for v in range(len(prob.left)))
+
+
+def sorted_keep(prob, keep_count, excluded=()):
+    """Positions kept per right vertex (and label) by a plain sort on
+    (weight, position) of the left vertices outside ``excluded``."""
+    keep = set()
+    labels = prob.left_labels or (None,) * len(prob.left)
+    for j in range(len(prob.right)):
+        for lab in set(labels):
+            members = [u for u in range(len(prob.left))
+                       if labels[u] == lab and u not in excluded]
+            members.sort(key=lambda u: (prob.weights[u, j], u))
+            keep.update(members[:keep_count])
+    return sorted(keep)
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_prune_rule_matches_sort(labelled):
+    # integer weights tie often, so the position tie-break decides
+    rng = np.random.default_rng(48 + labelled)
+    pruned = 0
+    for _ in range(150):
+        prob = random_problem(rng, labelled=labelled, max_left=12,
+                              max_right=4)
+        prob = make_problem(np.floor(prob.weights / 3), prob.demands,
+                            prob.left_labels, prob.label_demands)
+        m = int(rng.integers(0, 4))
+        keep_count = max(m, prob.total_demand)
+        got = prune_left(prob, m)
+        if len(prob.left) <= keep_count:
+            assert got is prob
+            continue
+        kept = sorted_keep(prob, keep_count)
+        pruned += len(kept) < len(prob.left)
+        assert list(got.left) == kept  # left refs are the positions here
+        assert got.weights.tobytes() == prob.weights[kept].tobytes()
+        assert got.left_labels == (None if not labelled else
+                                   tuple(prob.left_labels[u] for u in kept))
+        excluded = set(int(u) for u in rng.choice(
+            len(prob.left), size=min(len(prob.left), int(rng.integers(0, 3))),
+            replace=False))
+        assert select_nearest(nearest_orders(prob.weights, prob.left_labels),
+                              keep_count, excluded) == sorted_keep(
+                                  prob, keep_count, excluded)
+    assert pruned >= 30

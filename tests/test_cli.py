@@ -207,3 +207,22 @@ def test_non_finite_input_exits_1(tmp_path, capsys):
 def test_canonical_json_refuses_non_finite():
     with pytest.raises(ValueError):
         canonical_json({"cost": float("nan")})
+
+
+def test_absent_label_minimum_is_infeasible(tmp_path):
+    # a minimum for a label no client carries can never be met: solve and
+    # oracle both report no feasible solution
+    path = tmp_path / "absent.json"
+    path.write_text(json.dumps({
+        "metric": {"kind": "euclidean", "dim": 1}, "z": 1,
+        "points": [[0], [1], [5], [6]], "facilities": [[0], [5]],
+        "k": 2, "m": 1, "labels": ["a", "a", "a", "a"],
+        "constraint": {"kind": "label_bounds", "min_per_label": {"b": 1}},
+    }))
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", path, "--out", out,
+                "--exhaustive-sample"]) == 2
+    assert run(["solve", "--input", path, "--out", out,
+                "--solver", "local-search"]) == 2
+    assert run(["oracle", "--input", path, "--out", out]) == 2
+    assert not out.exists()

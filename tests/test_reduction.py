@@ -3,19 +3,24 @@ import sys
 import time
 import types
 
+import numpy as np
 import pytest
 
 from outlier_reduce import reduction
-from outlier_reduce.instance import validate_solution
+from outlier_reduce.baseline import AnchorSet
+from outlier_reduce.bmatching import prune_left
+from outlier_reduce.instance import instance_from_dict, validate_solution
 from outlier_reduce.oracle import exact_outlier_opt
-from outlier_reduce.reduction import (ReductionConfig, ReductionInfeasible,
+from outlier_reduce.reduction import (PluginContractError, ReductionConfig,
+                                      ReductionInfeasible,
                                       effective_epsilon,
                                       enumerate_outlier_subsets,
                                       enumerate_valid_tuples, run_reduction)
 from outlier_reduce.sampling import SamplePool
-from outlier_reduce.solvers import SolverPlugin, get_plugin
+from outlier_reduce.solvers import SolverPlugin, SolverResult, get_plugin
 from outlier_reduce.gen import GeneratorConfig, generate_instance
-from helpers import line_instance, ref_of
+from helpers import (build_matching_problem, line_instance, ref_of,
+                     reference_reduction)
 
 EXACT = get_plugin("exact")
 
@@ -256,3 +261,149 @@ def test_parallel_stage_times_count_every_call(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(calls) > 50
     assert res.timings["solver"] >= len(calls) * 0.002
+
+
+def tie_heavy_instances():
+    """(instance, labelled) pairs whose clients share weights: an integer
+    distance matrix over clients listed out of ref order, Ulam spaces, and
+    a client count close to m so some pairs leave nothing to prune."""
+    rng = np.random.default_rng(61)
+    size = 14
+    dist = rng.integers(2, 5, size=(size, size)).astype(float)
+    dist = np.triu(dist, 1) + np.triu(dist, 1).T  # entries 2..4 keep triangles
+    refs = [int(r) for r in rng.permutation(size)]
+    for labelled in (False, True):
+        data = {"metric": {"kind": "matrix", "matrix": dist.tolist()},
+                "z": 1 + labelled, "points": refs[:11], "facilities": refs[5:],
+                "k": 2, "m": 3, "constraint": {"kind": "unconstrained"}}
+        if labelled:
+            data["labels"] = [("a", "b", "c")[int(rng.integers(0, 3))]
+                              for _ in range(11)]
+            data["constraint"] = {"kind": "outlier_label_quota",
+                                  "quota": {"a": 1}}
+        yield instance_from_dict(data), labelled
+    for constraint in ("unconstrained", "label_bounds"):
+        yield generate_instance(GeneratorConfig(
+            n=12, k=2, m=2, metric="ulam", perm_len=4,
+            constraint=constraint), seed=5), constraint != "unconstrained"
+    yield line_instance([0, 1, 3, 2, 4], fs=[0, 2], k=1, m=3), False
+    yield line_instance([0, 1, 3, 2, 4], fs=[0, 2], k=1, m=3,
+                        labels=["a", "b", "a", "a", "b"],
+                        constraint={"kind": "outlier_label_quota",
+                                    "quota": {"b": 1}}), True
+
+
+def test_prepared_matching_matches_prune_left():
+    # the pair's pruned problem from the run's precomputed orders equals
+    # prune_left of that pair's full problem, field for field
+    rng = np.random.default_rng(62)
+    seen = {"labelled": 0, "full_Y": 0, "no_prune": 0, "pruned": 0}
+    for inst, labelled in tie_heavy_instances():
+        m = inst.m
+        num_labels = len(inst.label_names) if labelled else None
+        for _ in range(40):
+            count = int(rng.integers(1, len(inst.F) + 1))
+            anchors = AnchorSet(tuple(int(f) for f in rng.choice(
+                inst.F, size=count, replace=False)), 0.0)
+            prepared = reduction._Prepared(inst, anchors, labelled)
+            size = int(rng.integers(0, m + 1))
+            Y = tuple(sorted(int(x) for x in rng.choice(inst.X, size=size,
+                                                        replace=False)))
+            taus = list(enumerate_valid_tuples(m - size, count, num_labels))
+            tau = taus[int(rng.integers(0, len(taus)))]
+            got = prepared.matching_problem(Y, tau)
+            full = build_matching_problem(inst, anchors, Y, tau, labelled)
+            want = prune_left(full, m)
+            assert got.left == want.left
+            assert got.right == want.right
+            assert got.weights.dtype == want.weights.dtype
+            assert got.weights.shape == want.weights.shape
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.demands == want.demands
+            assert got.left_labels == want.left_labels
+            assert got.label_demands == want.label_demands
+            seen["labelled"] += labelled
+            seen["full_Y"] += size == m
+            seen["no_prune"] += want is full
+            seen["pruned"] += len(want.left) < len(full.left)
+    assert min(seen.values()) >= 10, seen
+
+
+def run_fields(records, solution, chosen_Y, chosen_tau, q):
+    return ([(r.index, r.Y, r.tau, r.matching_weight, r.solver_cost,
+              r.feasible) for r in records],
+            solution, chosen_Y, chosen_tau, q)
+
+
+@pytest.mark.parametrize("z", [1, 2])
+@pytest.mark.parametrize("metric", ["euclidean", "matrix", "ulam"])
+@pytest.mark.parametrize("kind", ["unconstrained", "capacitated",
+                                  "size_bounds", "label_bounds",
+                                  "outlier_label_quota"])
+def test_matches_reference_loop(kind, metric, z):
+    inst = generate_instance(GeneratorConfig(n=8, k=2, m=2, z=z,
+                                             metric=metric, constraint=kind),
+                             seed=11)
+    want = reference_reduction(inst, exhaustive_config(), EXACT)
+    assert want is not None
+    for parallel in (1, 4):
+        res = run_reduction(inst, exhaustive_config(parallel=parallel), EXACT)
+        got = run_fields(res.records, res.solution, res.chosen_Y,
+                         res.chosen_tau, res.q)
+        assert got == run_fields(*want)
+        assert res.solution.cost.hex() == want[1].cost.hex()
+
+
+def test_stage_times_cover_the_run():
+    inst = generate_instance(GeneratorConfig(n=12, k=2, m=2,
+                                             constraint="capacitated"),
+                             seed=3)
+    start = time.perf_counter()
+    res = run_reduction(inst, exhaustive_config(), EXACT)
+    wall = time.perf_counter() - start
+    staged = sum(res.timings[stage] for stage in
+                 ("baseline", "sampling", "matching", "solver"))
+    assert set(res.timings) == {"baseline", "sampling", "matching", "solver"}
+    assert 0.5 * wall <= staged <= wall
+
+
+def test_matches_reference_loop_when_matchings_fail():
+    # one client carries label b, so a tau that asks for two b clients, or
+    # for one after Y took it, has no matching
+    inst = line_instance([0, 1, 2, 10, 11, 30], k=2, m=2,
+                         labels=["a", "a", "a", "b", "a", "a"],
+                         constraint={"kind": "label_bounds",
+                                     "max_per_label": {"b": 1}})
+    want = reference_reduction(inst, exhaustive_config(), EXACT)
+    assert sum(r.matching_weight is None for r in want[0]) >= 10
+    for parallel in (1, 4):
+        res = run_reduction(inst, exhaustive_config(parallel=parallel), EXACT)
+        assert run_fields(res.records, res.solution, res.chosen_Y,
+                          res.chosen_tau, res.q) == run_fields(*want)
+
+
+@pytest.mark.parametrize("fault", ["overlap", "missing", "extra", "centers",
+                                   "check"])
+def test_plugin_contract_is_enforced(fault):
+    inst = line_instance([0, 1, 2, 10, 11], k=2, m=1,
+                         constraint={"kind": "size_bounds", "r": [1, 1],
+                                     "l": [3, 3]})
+
+    def faulty_solve(problem, rng_seed=0):
+        xs = list(problem.X_prime)
+        clusters = [xs[:2], xs[2:]]
+        if fault == "overlap":  # the union is X' and the sizes fit
+            clusters = [xs[:3], xs[2:]]
+        elif fault == "missing":
+            clusters = [xs[:2], xs[2:-1]]
+        elif fault == "extra":
+            clusters = [xs[:2], xs[2:] + [x for x in inst.X if x not in xs]]
+        elif fault == "check":  # an empty cluster breaks r = 1
+            clusters = [[], xs]
+        centers = inst.F[:1] if fault == "centers" else inst.F[:2]
+        return SolverResult(tuple(frozenset(c) for c in clusters),
+                            tuple(centers), 0.0)
+
+    with pytest.raises(PluginContractError):
+        run_reduction(inst, exhaustive_config(),
+                      SolverPlugin("faulty", faulty_solve, "heuristic"))

@@ -378,3 +378,48 @@ def test_integral_label_windows_match_flow():
             for i, c in enumerate(got[0]) for x in c), abs=1e-9)
         assert check(inst, got[0], centers)
     assert min(seen.values()) >= 5, seen
+
+
+def test_residual_rows_are_positions():
+    inst = line_instance([5, 0, 9, 1, 4], fs=[0, 9], k=2)
+    keep = (inst.X[4], inst.X[0], inst.X[3])
+    derived = OutlierFreeProblem(inst, keep)
+    assert derived.rows.tolist() == [4, 0, 3]
+    given = OutlierFreeProblem(inst, keep, np.array([4, 0, 3]))
+    assert given == derived  # rows take no part in equality
+    assert (given.weight_matrix().tobytes()
+            == np.array([[inst.powered_xf(x, f) for f in inst.F]
+                         for x in keep]).tobytes())
+    assert OutlierFreeProblem(inst, ()).weight_matrix().shape == (0, 2)
+
+
+def test_clusters_from_assignment_match_loop():
+    rng = np.random.default_rng(23)
+    inst = line_instance(rng.permutation(30).tolist(), fs=[0, 10, 20], k=3)
+    for _ in range(20):
+        keep = tuple(x for x in inst.X if rng.random() > 0.3)
+        prob = OutlierFreeProblem(inst, keep)
+        assign = rng.integers(0, 3, size=len(keep)).tolist()
+        groups = [set() for _ in range(3)]
+        for x, i in zip(keep, assign):
+            groups[i].add(x)
+        assert solvers._clusters_from_assignment(prob, assign, 3) == tuple(
+            frozenset(g) for g in groups)
+
+
+def test_absent_label_minimum_is_infeasible():
+    # check() holds each cluster to a minimum of one "b" client, and no
+    # client carries label b
+    inst = line_instance([0, 1, 5, 6], fs=[0, 5], k=2, m=1,
+                         labels=["a"] * 4,
+                         constraint={"kind": "label_bounds",
+                                     "min_per_label": {"b": 1}})
+    centers = tuple(inst.F)
+    assert not check(inst, [{inst.X[0]}, set(inst.X[1:])], centers)
+    assert assign_given_centers(problem_of(inst), centers) is None
+    assert solve_exact(problem_of(inst)) is None
+    assert solve_local_search(problem_of(inst)) is None
+    zero = line_instance([0, 1, 5, 6], fs=[0, 5], k=2, m=1, labels=["a"] * 4,
+                         constraint={"kind": "label_bounds",
+                                     "min_per_label": {"b": 0}})
+    assert solve_exact(problem_of(zero)) is not None

@@ -5,11 +5,13 @@ The reduction needs a constant-factor unconstrained (k+m)-clustering to
 anchor everything else. Seeding picks the cheapest single center on a
 client sample, then repeatedly draws a client with probability
 proportional to its powered distance to the current centers and adds the
-nearest unused facility. Local search then tries all single-center swaps,
-accepting only swaps that beat the current cost by the usual
-1/(10 * num_centers) relative margin, until no swap qualifies or the
-iteration cap of 100 * num_centers is reached. Everything is a pure
-function of (instance, seed).
+nearest unused facility (the D^z seeding that the local-search plugin
+shares). Local search then costs all single-center swaps in one numpy
+pass per sweep and takes the cheapest, the first of equal ones, only if
+it beats the current cost by the usual 1/(10 * num_centers) relative
+margin, until no swap qualifies or the iteration cap of
+100 * num_centers is reached. Everything is a pure function of
+(instance, seed).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .instance import ClusteringInstance
+from .solvers import _dz_seed, _swap_trials, _tuple_bounds
 
 __all__ = ["AnchorSet", "solve_unconstrained", "anchor_cost_of"]
 
@@ -42,10 +45,6 @@ def anchor_cost_of(inst: ClusteringInstance, centers: Iterable[int]) -> float:
     return float(block.min(axis=1).sum())
 
 
-def _cost_of_fpos(pow_xf: np.ndarray, fpos: list[int]) -> float:
-    return float(pow_xf[:, fpos].min(axis=1).sum())
-
-
 def solve_unconstrained(inst: ClusteringInstance, num_centers: int,
                         rng_seed: int) -> AnchorSet:
     """Choose ``num_centers`` distinct facilities approximately minimizing the
@@ -63,43 +62,21 @@ def solve_unconstrained(inst: ClusteringInstance, num_centers: int,
     sample = (np.arange(n) if n <= SEED_SAMPLE_CAP
               else rng.choice(n, size=SEED_SAMPLE_CAP, replace=False))
     first = int(np.argmin(pow_xf[sample, :].sum(axis=0)))
-    chosen = [first]
+    chosen = _dz_seed(pow_xf, first, num_centers, rng)
 
-    while len(chosen) < num_centers:
-        mass = pow_xf[:, chosen].min(axis=1)
-        total = float(mass.sum())
-        if total <= 0.0:
-            x = int(rng.integers(0, n))
-        else:
-            r = rng.random() * total
-            x = int(np.searchsorted(np.cumsum(mass), r, side="right"))
-            x = min(x, n - 1)
-        # nearest facility to the drawn client, skipping ones already chosen
-        order = np.lexsort((np.arange(nf), pow_xf[x, :]))
-        for f in order:
-            if int(f) not in chosen:
-                chosen.append(int(f))
-                break
-
-    cost = _cost_of_fpos(pow_xf, chosen)
+    WT = np.ascontiguousarray(pow_xf.T)
+    cost = float(_tuple_bounds(WT, np.array([chosen], dtype=np.intp))[0])
     threshold = 1.0 - 1.0 / (10.0 * num_centers)
     for _ in range(SWAP_ITERATION_FACTOR * num_centers):
-        best_swap = None
-        best_cost = cost
-        for i in range(num_centers):
-            for f in range(nf):
-                if f in chosen:
-                    continue
-                trial = chosen.copy()
-                trial[i] = f
-                c = _cost_of_fpos(pow_xf, trial)
-                if c < best_cost:
-                    best_cost = c
-                    best_swap = trial
-        if best_swap is None or best_cost >= threshold * cost:
+        trials = _swap_trials(chosen, nf)
+        if not len(trials):
             break
-        chosen = best_swap
-        cost = best_cost
+        costs = _tuple_bounds(WT, trials)
+        best = int(np.argmin(costs))  # the first of equal minima
+        if costs[best] >= threshold * cost:
+            break
+        chosen = trials[best].tolist()
+        cost = float(costs[best])
 
     centers = tuple(inst.F[j] for j in sorted(chosen))
     return AnchorSet(centers=centers, anchor_cost=cost)

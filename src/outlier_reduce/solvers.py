@@ -14,7 +14,13 @@ cached read-only table, and one numpy pass per call scores every tuple's
 nearest-center cost, which is the unconstrained kinds' assignment cost and
 a lower bound for the constrained ones; only tuples whose bound beats the
 incumbent reach the assignment engines. ``solve_local_search`` swaps
-single centers greedily and accepts only strict improvements.
+single centers greedily and accepts only strict improvements. It scores
+each sweep's swaps with the same numpy pass and solves the assignment
+only for swaps whose bound, shrunk by a relative ``4·n·eps`` for float
+summation error, still beats the acceptance threshold; the others could
+not be accepted, so the result is the one a full sweep gives. The
+engines return assignments, and both solvers build clusters for their
+result only.
 
 An ``OutlierFreeProblem`` carries its residual both as refs (``X_prime``)
 and as their positions in the parent's X (``rows``), which the reduction
@@ -115,11 +121,10 @@ def _clusters_from_assignment(problem: OutlierFreeProblem,
     return tuple(frozenset(g) for g in groups)
 
 
-def _assign_unconstrained(problem, centers, W):
+def _assign_unconstrained(W):
     cols = W.argmin(axis=1) if W.size else np.zeros(0, dtype=int)
-    cost = float(W[np.arange(len(problem.X_prime)), cols].sum()) if W.size else 0.0
-    clusters = _clusters_from_assignment(problem, cols.tolist(), len(centers))
-    return clusters, cost
+    cost = float(W[np.arange(W.shape[0]), cols].sum()) if W.size else 0.0
+    return cols.tolist(), cost
 
 
 def _slot_assign(W, lower, upper):
@@ -164,7 +169,7 @@ def _label_window_flow(problem, centers, W, windows, sizes):
     """Min-cost assignment with per-(cluster, label) count windows.
 
     windows[(i, lab)] = (lo, hi); sizes[i] = (lo, hi) window on |X_i|.
-    Returns (clusters, cost) or None. Only fractional fairness windows,
+    Returns (assign, cost) or None. Only fractional fairness windows,
     whose cluster sizes are fixed, need this flow.
     """
     inst = problem.inst
@@ -201,8 +206,7 @@ def _label_window_flow(problem, centers, W, windows, sizes):
     for u, i, arc_pos in point_arcs:
         if flows[arc_pos] > 0:
             assign[u] = i
-    clusters = _clusters_from_assignment(problem, assign, k)
-    return clusters, float(cost)
+    return assign, float(cost)
 
 
 def _assign_label_windows(problem, W):
@@ -270,29 +274,38 @@ def _assign_fractional(problem, centers, W):
     return best
 
 
-def _assign_with_matrix(problem: OutlierFreeProblem, centers: tuple[int, ...],
-                        W: np.ndarray):
+def _assignment(problem: OutlierFreeProblem, centers: tuple[int, ...],
+                W: np.ndarray):
     """Dispatch on constraint kind; W is the n' x k powered-cost matrix for
-    exactly these centers (columns aligned with the center tuple)."""
+    exactly these centers (columns aligned with the center tuple).
+
+    Returns (assign, cost), assign[u] being the center position of
+    ``X_prime[u]``, or None when no feasible assignment exists.
+    """
     spec = problem.inst.constraint
     kind = spec.kind
-    if kind in ("unconstrained", "outlier_label_quota"):
-        clusters, cost = _assign_unconstrained(problem, centers, W)
-        if kind == "outlier_label_quota" and not check(problem.inst, clusters,
-                                                       centers):
-            return None
-        return clusters, cost
+    if kind == "unconstrained":
+        return _assign_unconstrained(W)
+    if kind == "outlier_label_quota":
+        assign, cost = _assign_unconstrained(W)
+        clusters = _clusters_from_assignment(problem, assign, len(centers))
+        return (assign, cost) if check(problem.inst, clusters, centers) else None
     if kind == "capacitated":
         caps = [problem.inst.capacity_of[f] for f in centers]
-        res = _slot_assign(W, [0] * len(centers), caps)
-    elif kind == "size_bounds":
-        res = _slot_assign(W, spec.r, spec.l)
-    elif kind == "label_bounds" and spec.fractional:
+        return _slot_assign(W, [0] * len(centers), caps)
+    if kind == "size_bounds":
+        return _slot_assign(W, spec.r, spec.l)
+    if kind == "label_bounds" and spec.fractional:
         return _assign_fractional(problem, centers, W)
-    elif kind == "label_bounds":
-        res = _assign_label_windows(problem, W)
-    else:
-        raise AssertionError(kind)
+    if kind == "label_bounds":
+        return _assign_label_windows(problem, W)
+    raise AssertionError(kind)
+
+
+def _assign_with_matrix(problem: OutlierFreeProblem, centers: tuple[int, ...],
+                        W: np.ndarray):
+    """``_assignment`` as (clusters, cost), or None."""
+    res = _assignment(problem, centers, W)
     if res is None:
         return None
     return _clusters_from_assignment(problem, res[0], len(centers)), res[1]
@@ -340,11 +353,55 @@ def _tuple_bounds(WT: np.ndarray, tuples: np.ndarray) -> np.ndarray:
 
     Row t equals ``W_all[:, tuples[t]].min(axis=1).sum()`` bitwise: the
     minimum is exact, and each row is summed over its contiguous axis.
+    The rows are gathered in blocks of about ``BOUND_BLOCK_ELEMENTS``.
     """
-    near = WT[tuples[:, 0]]
-    for j in range(1, tuples.shape[1]):
-        np.minimum(near, WT[tuples[:, j]], out=near)
-    return near.sum(axis=1)
+    out = np.empty(len(tuples))
+    block = max(1, BOUND_BLOCK_ELEMENTS // max(WT.shape[1], 1))
+    for lo in range(0, len(tuples), block):
+        part = tuples[lo:lo + block]
+        near = WT[part[:, 0]]
+        for j in range(1, tuples.shape[1]):
+            np.minimum(near, WT[part[:, j]], out=near)
+        near.sum(axis=1, out=out[lo:lo + block])
+    return out
+
+
+def _swap_trials(cols: list[int], nf: int) -> np.ndarray:
+    """Every single-center swap of ``cols`` as rows of an intp table: the
+    swapped position outer, the new facility column inner (ascending),
+    skipping columns already in ``cols``."""
+    unused = np.ones(nf, dtype=bool)
+    unused[cols] = False
+    free = np.flatnonzero(unused)
+    k, nfree = len(cols), len(free)
+    trials = np.empty((k * nfree, k), dtype=np.intp)
+    trials[:] = cols
+    for i in range(k):
+        trials[i * nfree:(i + 1) * nfree, i] = free
+    return trials
+
+
+def _dz_seed(W: np.ndarray, first: int, count: int,
+             rng: np.random.Generator) -> list[int]:
+    """Grow ``[first]`` to ``count`` distinct columns of W (clients x
+    facilities): draw a client with probability proportional to its cost
+    to the nearest chosen column (uniformly when every such cost is 0),
+    then add the column nearest to that client that is not chosen yet,
+    ties to the lowest column."""
+    n, nf = W.shape
+    chosen = [first]
+    while len(chosen) < count:
+        mass = W[:, chosen].min(axis=1)
+        total = float(mass.sum())
+        if total <= 0.0:
+            x = int(rng.integers(0, n))
+        else:
+            r = rng.random() * total
+            x = min(int(np.searchsorted(np.cumsum(mass), r, side="right")),
+                    n - 1)
+        order = np.lexsort((np.arange(nf), W[x, :]))
+        chosen.append(next(int(f) for f in order if int(f) not in chosen))
+    return chosen
 
 
 def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
@@ -356,9 +413,9 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
     tuple table. Each tuple's nearest-center cost is computed in blocks of
     one numpy pass; the scan then visits the tuples in order and skips any
     whose cost is not below the incumbent by ``IMPROVE_ATOL``. For the
-    ``unconstrained`` kind that cost is the answer, so clusters are built
-    for the winner only; the other kinds solve their assignment for every
-    tuple that survives. Refuses instances whose enumeration would exceed
+    ``unconstrained`` kind that cost is the answer; the other kinds solve
+    their assignment for every tuple that survives. Clusters are built
+    for the winner only. Refuses instances whose enumeration would exceed
     ``work_budget``.
     """
     inst = problem.inst
@@ -379,7 +436,7 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
     block = max(1, BOUND_BLOCK_ELEMENTS // max(problem.n, 1))
     best_cost = None
     best_t = None
-    best_assignment = None
+    best_assign = None
     for lo in range(0, num_tuples, block):
         bounds = _tuple_bounds(WT, tuples[lo:lo + block]).tolist()
         for t, cost in enumerate(bounds, lo):
@@ -387,58 +444,41 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
                 continue  # the unconstrained assignment already bounds this tuple
             if not bound_only:
                 cols = tuples[t]
-                centers = tuple(inst.F[j] for j in cols)
-                res = _assign_with_matrix(problem, centers, W_all[:, cols])
+                res = _assignment(problem, tuple(inst.F[j] for j in cols),
+                                  W_all[:, cols])
                 if res is None:
                     continue
-                clusters, cost = res
+                assign, cost = res
                 if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
                     continue
-                best_assignment = clusters
+                best_assign = assign
             best_cost, best_t = cost, t
     if best_cost is None:
         return None
     cols = tuples[best_t]
-    centers = tuple(inst.F[j] for j in cols)
     if bound_only:
-        best_assignment, best_cost = _assign_unconstrained(problem, centers,
-                                                           W_all[:, cols])
-    return SolverResult(clusters=best_assignment, centers=centers,
-                        cost=best_cost)
-
-
-def _greedy_centers(problem: OutlierFreeProblem, rng: np.random.Generator,
-                    W_all: np.ndarray) -> list[int]:
-    n, nf = W_all.shape
-    k = problem.inst.k
-    if n == 0:
-        return list(range(k))
-    first = int(np.argmin(W_all.sum(axis=0)))
-    chosen = [first]
-    while len(chosen) < k:
-        mass = W_all[:, chosen].min(axis=1)
-        total = float(mass.sum())
-        if total <= 0.0:
-            x = int(rng.integers(0, n))
-        else:
-            r = rng.random() * total
-            x = min(int(np.searchsorted(np.cumsum(mass), r, side="right")),
-                    n - 1)
-        order = np.lexsort((np.arange(nf), W_all[x, :]))
-        for f in order:
-            if int(f) not in chosen:
-                chosen.append(int(f))
-                break
-    return chosen
+        best_assign, best_cost = _assign_unconstrained(W_all[:, cols])
+    return SolverResult(
+        clusters=_clusters_from_assignment(problem, best_assign, k),
+        centers=tuple(inst.F[j] for j in cols), cost=best_cost)
 
 
 def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
     """Single-center-swap local search; feasible output or None.
 
     Seeds like the anchor solver, falls back to scanning center tuples in
-    enumeration order when the seed is infeasible, then accepts any swap
-    improving the assignment cost beyond the absolute tolerance, up to
-    200*k iterations. Deterministic given the seed.
+    enumeration order when the seed is infeasible, then sweeps every
+    single swap (swapped position outer, new facility inner) and moves to
+    the first swap that beats both the current cost and every earlier
+    swap of the sweep by ``IMPROVE_ATOL``, up to 200*k sweeps.
+    Deterministic given the seed.
+
+    One numpy pass scores every swap's nearest-center cost before a
+    sweep. No assignment costs less than that bound, up to float
+    summation error, which the relative slack ``4·n·eps`` covers; a swap
+    whose bound already misses the acceptance threshold is skipped
+    without solving its assignment, so the result is the one a full sweep
+    gives. Clusters are built for the result only.
     """
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
@@ -446,45 +486,45 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
         return None
     rng = np.random.default_rng(rng_seed)
     W_all = problem.weight_matrix()
-    cols = _greedy_centers(problem, rng, W_all)
+    cols = (_dz_seed(W_all, int(np.argmin(W_all.sum(axis=0))), k, rng)
+            if problem.n else list(range(k)))
 
     def evaluate(cs: list[int]):
-        centers = tuple(inst.F[j] for j in cs)
-        return centers, _assign_with_matrix(problem, centers, W_all[:, cs])
+        return _assignment(problem, tuple(inst.F[j] for j in cs),
+                           W_all[:, cs])
 
-    centers, res = evaluate(cols)
+    res = evaluate(cols)
     if res is None:
         ordered = inst.constraint.cluster_indexed
         it = (itertools.permutations(range(nf), k) if ordered
               else itertools.combinations(range(nf), k))
         for cand in it:
             cols = list(cand)
-            centers, res = evaluate(cols)
+            res = evaluate(cols)
             if res is not None:
                 break
         if res is None:
             return None
-    clusters, cost = res
+    assign, cost = res
 
+    WT = np.ascontiguousarray(W_all.T)
+    shrink = 1.0 - 4.0 * problem.n * np.finfo(float).eps
     for _ in range(LOCAL_SEARCH_ITERATION_FACTOR * k):
+        trials = _swap_trials(cols, nf)
+        bounds = (_tuple_bounds(WT, trials) * shrink).tolist()
+        threshold = cost - IMPROVE_ATOL  # min(cost, best of sweep) - ATOL
         best = None
-        for i in range(k):
-            for f in range(nf):
-                if f in cols:
-                    continue
-                trial = cols.copy()
-                trial[i] = f
-                t_centers, t_res = evaluate(trial)
-                if t_res is None:
-                    continue
-                t_clusters, t_cost = t_res
-                if t_cost < cost - IMPROVE_ATOL and (
-                        best is None or t_cost < best[3] - IMPROVE_ATOL):
-                    best = (trial, t_centers, t_clusters, t_cost)
+        for t, bound in enumerate(bounds):
+            if bound >= threshold:
+                continue  # its assignment cannot cost less than the bound
+            t_res = evaluate(trials[t].tolist())
+            if t_res is not None and t_res[1] < threshold:
+                best, threshold = (t, t_res), t_res[1] - IMPROVE_ATOL
         if best is None:
             break
-        cols, centers, clusters, cost = best
-    return SolverResult(clusters=clusters, centers=centers, cost=cost)
+        cols, (assign, cost) = trials[best[0]].tolist(), best[1]
+    return SolverResult(clusters=_clusters_from_assignment(problem, assign, k),
+                        centers=tuple(inst.F[j] for j in cols), cost=cost)
 
 
 def get_plugin(name: str, *, work_budget: int = DEFAULT_WORK_BUDGET) -> SolverPlugin:

@@ -8,6 +8,10 @@ to check the assignment-based one edge for edge. ``reference_reduction``
 is the earlier per-pair loop of ``run_reduction``, which built and pruned
 each pair's matching problem over all clients and handed the solver X' as
 a tuple of refs; it checks the prepared pipeline record for record.
+``reference_local_search`` and ``reference_solve_unconstrained`` are the
+earlier swap loops of the local-search plugin and the anchor solver,
+which solved or scored every swap one at a time; they check the
+bound-scored sweeps bitwise.
 """
 
 from __future__ import annotations
@@ -348,3 +352,136 @@ def reference_reduction(inst: ClusteringInstance, config, plugin):
     if best is None:
         return None
     return records, best[1], best[2], best[3], len(pairs)
+
+
+def reference_greedy_centers(problem, rng, W_all):
+    """The local-search seed: cheapest single column, then D^z draws."""
+    n, nf = W_all.shape
+    k = problem.inst.k
+    if n == 0:
+        return list(range(k))
+    first = int(np.argmin(W_all.sum(axis=0)))
+    chosen = [first]
+    while len(chosen) < k:
+        mass = W_all[:, chosen].min(axis=1)
+        total = float(mass.sum())
+        if total <= 0.0:
+            x = int(rng.integers(0, n))
+        else:
+            r = rng.random() * total
+            x = min(int(np.searchsorted(np.cumsum(mass), r, side="right")),
+                    n - 1)
+        order = np.lexsort((np.arange(nf), W_all[x, :]))
+        for f in order:
+            if int(f) not in chosen:
+                chosen.append(int(f))
+                break
+    return chosen
+
+
+def reference_local_search(problem, rng_seed=0):
+    """Single-swap local search that solves the assignment of every swap
+    of every sweep and builds its clusters."""
+    from outlier_reduce.solvers import (IMPROVE_ATOL,
+                                        LOCAL_SEARCH_ITERATION_FACTOR,
+                                        SolverResult, _assign_with_matrix)
+
+    inst = problem.inst
+    k, nf = inst.k, len(inst.F)
+    if k > nf:
+        return None
+    rng = np.random.default_rng(rng_seed)
+    W_all = problem.weight_matrix()
+    cols = reference_greedy_centers(problem, rng, W_all)
+
+    def evaluate(cs):
+        centers = tuple(inst.F[j] for j in cs)
+        return centers, _assign_with_matrix(problem, centers, W_all[:, cs])
+
+    centers, res = evaluate(cols)
+    if res is None:
+        ordered = inst.constraint.cluster_indexed
+        it = (itertools.permutations(range(nf), k) if ordered
+              else itertools.combinations(range(nf), k))
+        for cand in it:
+            cols = list(cand)
+            centers, res = evaluate(cols)
+            if res is not None:
+                break
+        if res is None:
+            return None
+    clusters, cost = res
+
+    for _ in range(LOCAL_SEARCH_ITERATION_FACTOR * k):
+        best = None
+        for i in range(k):
+            for f in range(nf):
+                if f in cols:
+                    continue
+                trial = cols.copy()
+                trial[i] = f
+                t_centers, t_res = evaluate(trial)
+                if t_res is None:
+                    continue
+                t_clusters, t_cost = t_res
+                if t_cost < cost - IMPROVE_ATOL and (
+                        best is None or t_cost < best[3] - IMPROVE_ATOL):
+                    best = (trial, t_centers, t_clusters, t_cost)
+        if best is None:
+            break
+        cols, centers, clusters, cost = best
+    return SolverResult(clusters=clusters, centers=centers, cost=cost)
+
+
+def reference_solve_unconstrained(inst: ClusteringInstance, num_centers: int,
+                                  rng_seed: int):
+    """Anchor solver that costs every swap with its own slice, min and
+    sum."""
+    from outlier_reduce.baseline import (SEED_SAMPLE_CAP,
+                                         SWAP_ITERATION_FACTOR, AnchorSet)
+
+    def cost_of(fpos):
+        return float(pow_xf[:, fpos].min(axis=1).sum())
+
+    rng = np.random.default_rng(rng_seed)
+    pow_xf = inst.pow_xf
+    n, nf = pow_xf.shape
+    sample = (np.arange(n) if n <= SEED_SAMPLE_CAP
+              else rng.choice(n, size=SEED_SAMPLE_CAP, replace=False))
+    chosen = [int(np.argmin(pow_xf[sample, :].sum(axis=0)))]
+    while len(chosen) < num_centers:
+        mass = pow_xf[:, chosen].min(axis=1)
+        total = float(mass.sum())
+        if total <= 0.0:
+            x = int(rng.integers(0, n))
+        else:
+            r = rng.random() * total
+            x = min(int(np.searchsorted(np.cumsum(mass), r, side="right")),
+                    n - 1)
+        order = np.lexsort((np.arange(nf), pow_xf[x, :]))
+        for f in order:
+            if int(f) not in chosen:
+                chosen.append(int(f))
+                break
+
+    cost = cost_of(chosen)
+    threshold = 1.0 - 1.0 / (10.0 * num_centers)
+    for _ in range(SWAP_ITERATION_FACTOR * num_centers):
+        best_swap = None
+        best_cost = cost
+        for i in range(num_centers):
+            for f in range(nf):
+                if f in chosen:
+                    continue
+                trial = chosen.copy()
+                trial[i] = f
+                c = cost_of(trial)
+                if c < best_cost:
+                    best_cost = c
+                    best_swap = trial
+        if best_swap is None or best_cost >= threshold * cost:
+            break
+        chosen = best_swap
+        cost = best_cost
+    return AnchorSet(centers=tuple(inst.F[j] for j in sorted(chosen)),
+                     anchor_cost=cost)

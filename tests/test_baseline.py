@@ -6,7 +6,8 @@ import pytest
 from outlier_reduce.baseline import anchor_cost_of, solve_unconstrained
 from outlier_reduce.oracle import exact_outlier_opt
 from outlier_reduce.reduction import default_beta
-from helpers import fref_of, line_instance
+from outlier_reduce.instance import instance_from_dict
+from helpers import fref_of, line_instance, reference_solve_unconstrained
 
 
 def exhaustive_anchor_opt(inst, p):
@@ -98,3 +99,38 @@ def test_anchor_cost_bounded_by_beta_times_outlier_opt(z):
                                       rng_seed=trial)
         opt, _ = exact_outlier_opt(inst)
         assert anchors.anchor_cost <= beta * opt + 1e-9
+
+
+def anchor_instances(rng):
+    """Lines with integer (tie-heavy) and real coordinates, planes with
+    more clients than the seed sample, shared and separate facilities."""
+    for trial in range(12):
+        xs = (rng.integers(0, 15, size=10).astype(float) if trial % 2
+              else rng.uniform(0, 100, size=10).round(4))
+        xs = sorted(set(xs.tolist()))
+        fs = None if trial % 3 else sorted(set(
+            rng.uniform(0, 100, size=6).round(4).tolist()))
+        yield line_instance(xs, fs, k=2, z=1 + trial % 2)
+    for z in (1, 2):
+        pts = rng.uniform(0, 50, size=(45, 2)).round(5).tolist()
+        yield instance_from_dict({
+            "metric": {"kind": "euclidean", "dim": 2}, "z": z,
+            "points": pts, "facilities": pts[::3], "k": 3, "m": 2,
+            "constraint": {"kind": "unconstrained"}})
+
+
+def test_anchors_match_reference_loop():
+    # one bound pass per sweep picks the swap the per-swap loop picks, and
+    # the shared D^z seeding draws the same centers: equal anchors and
+    # anchor-cost bits
+    rng = np.random.default_rng(17)
+    swept = 0
+    for inst in anchor_instances(rng):
+        for num_centers in range(1, min(5, len(inst.F)) + 1):
+            for seed in (0, 1, 9):
+                got = solve_unconstrained(inst, num_centers, seed)
+                want = reference_solve_unconstrained(inst, num_centers, seed)
+                assert got.centers == want.centers
+                assert got.anchor_cost.hex() == want.anchor_cost.hex()
+                swept += num_centers < len(inst.F)
+    assert swept >= 150

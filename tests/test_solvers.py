@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outlier_reduce import solvers
-from outlier_reduce.instance import check, validate_solution, Solution
+from outlier_reduce.instance import (check, instance_from_dict,
+                                     validate_solution, Solution)
 from outlier_reduce.solvers import (IMPROVE_ATOL, ExactBudgetExceeded,
                                     OutlierFreeProblem, SolverResult,
                                     _assign_with_matrix, assign_given_centers,
                                     solve_exact, solve_local_search)
-from helpers import brute_assignment, fref_of, line_instance, ref_of
+from helpers import (brute_assignment, fref_of, line_instance, ref_of,
+                     reference_greedy_centers, reference_local_search)
 
 
 def problem_of(inst, xs=None):
@@ -423,3 +427,191 @@ def test_absent_label_minimum_is_infeasible():
                          constraint={"kind": "label_bounds",
                                      "min_per_label": {"b": 0}})
     assert solve_exact(problem_of(zero)) is not None
+
+
+def local_search_instances(spec, labelled, rng):
+    """Line and integer-matrix instances of one constraint kind, z = 1, 2;
+    capacities are drawn per facility, 0 included."""
+    for trial in range(8):
+        spec = dict(spec)
+        z = 1 + trial % 2
+        if trial % 4 < 2:
+            xs = sorted(set(rng.integers(0, 12, size=8).tolist()))
+            fs = sorted(set(rng.integers(0, 12, size=5).tolist()))
+            if spec["kind"] == "capacitated":
+                spec["s"] = [int(rng.integers(0, 5)) for _ in fs]
+            labels = ([("a", "b")[int(rng.integers(0, 2))] for _ in xs]
+                      if labelled else None)
+            yield line_instance(xs, fs, k=2, m=2, z=z, constraint=spec,
+                                labels=labels)
+            continue
+        size = 10
+        dist = rng.integers(2, 5, size=(size, size)).astype(float)
+        dist = np.triu(dist, 1) + np.triu(dist, 1).T  # 2..4 keeps triangles
+        refs = [int(r) for r in rng.permutation(size)]
+        facilities = refs[4:]
+        if spec["kind"] == "capacitated":
+            spec["s"] = [int(rng.integers(0, 5)) for _ in facilities]
+        data = {"metric": {"kind": "matrix", "matrix": dist.tolist()},
+                "z": z, "points": refs[:7], "facilities": facilities,
+                "k": 2, "m": 2, "constraint": spec}
+        if labelled:
+            data["labels"] = [("a", "b")[int(rng.integers(0, 2))]
+                              for _ in range(7)]
+        yield instance_from_dict(data)
+
+
+@pytest.mark.parametrize("spec,labelled", KIND_SPECS)
+def test_local_search_matches_reference_loop(spec, labelled):
+    # every swap the bound skips would have failed the acceptance test, so
+    # the result equals the loop that solves every swap, bit for bit
+    rng = np.random.default_rng(31)
+    seen = {"fallback": 0, "feasible": 0}
+    for inst in local_search_instances(spec, labelled, rng):
+        for drop in (0, 1, 2):
+            keep = sorted(rng.choice(inst.n, size=inst.n - drop,
+                                     replace=False))
+            prob = OutlierFreeProblem(inst, tuple(inst.X[i] for i in keep))
+            for seed in (0, 1, 7):
+                got = solve_local_search(prob, seed)
+                assert_same_result(got, reference_local_search(prob, seed))
+                seen["feasible"] += got is not None
+                W = prob.weight_matrix()
+                cols = reference_greedy_centers(
+                    prob, np.random.default_rng(seed), W)
+                seen["fallback"] += got is not None and _assign_with_matrix(
+                    prob, tuple(inst.F[j] for j in cols), W[:, cols]) is None
+    assert seen["feasible"] >= 5, seen
+    if spec["kind"] == "capacitated":
+        assert seen["fallback"] >= 5, seen
+
+
+@pytest.mark.parametrize("gap,moves", [(1e-10, False), (1e-9, False),
+                                       (2e-9, True), (1e-8, True)])
+def test_local_search_near_tie_after_fallback(gap, moves):
+    # the seed, facility 0.5, has capacity 0, so the fallback scan starts
+    # from facility 1; the swap to 1 - gap has a bound within a few
+    # IMPROVE_ATOL of the acceptance threshold 1 - IMPROVE_ATOL
+    inst = line_instance([0], fs=[0.5, 1, 1 - gap], k=1,
+                         constraint={"kind": "capacitated", "s": [0, 1, 1]})
+    prob = problem_of(inst)
+    W = prob.weight_matrix()
+    assert _assign_with_matrix(prob, (inst.F[0],), W[:, [0]]) is None
+    res = solve_local_search(prob)
+    assert_same_result(res, reference_local_search(prob))
+    assert res.centers == (fref_of(inst, 1 - gap if moves else 1),)
+
+
+def test_local_search_near_ties_random_match_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        xs = rng.integers(0, 8, size=8).astype(float)
+        xs[rng.integers(0, 8)] += rng.choice([-1, 1]) * rng.choice(
+            [1e-10, 5e-10, 1e-9, 2e-9])
+        xs = sorted(set(xs.tolist()))
+        spec = ({"kind": "capacitated",
+                 "s": [int(rng.integers(1, 5)) for _ in xs]}
+                if trial % 2 else {"kind": "unconstrained"})
+        inst = line_instance(xs, k=2, z=1 + trial % 3 // 2, constraint=spec)
+        for seed in (0, 1):
+            assert_same_result(solve_local_search(problem_of(inst), seed),
+                               reference_local_search(problem_of(inst), seed))
+
+
+def test_local_search_accepts_a_swap_summed_below_its_bound():
+    # label windows sum each label's costs apart, so a swap whose windows do
+    # not bind can cost an ulp less than its nearest-center bound; the
+    # relative slack keeps that swap, which the full sweep accepts
+    xs = [1.775488581674567, 2.3864506687610874, 4.051532386312797,
+          6.1125068865206025, 7.814761747149061, 1e14]
+    fs = [2.3864506687610874, 4.051532386312797, 6.1125068865206025,
+          8967478244506.21, 67351378944946.59, 1e14]
+    inst = line_instance(xs, fs, k=1, labels=["a", "b", "a", "b", "a", "a"],
+                         constraint={"kind": "label_bounds",
+                                     "min_per_label": {"a": 0},
+                                     "max_per_label": {"b": 6}})
+    prob = problem_of(inst)
+    res = solve_local_search(prob)
+    assert_same_result(res, reference_local_search(prob))
+    col = inst.fpos[res.centers[0]]
+    bound = solvers._tuple_bounds(np.ascontiguousarray(
+        prob.weight_matrix().T), np.array([[col]]))[0]
+    assert res.cost < bound
+
+
+def test_local_search_skips_swaps_that_cannot_win(monkeypatch):
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([rng.uniform(0, 2, 10), rng.uniform(30, 32, 10)])
+    inst = line_instance(xs.round(6).tolist(), k=2,
+                         constraint={"kind": "capacitated", "s": [12] * 20})
+    calls = []
+    assignment = solvers._assignment
+    monkeypatch.setattr(solvers, "_assignment",
+                        lambda *args: calls.append(1) or assignment(*args))
+    res = solve_local_search(problem_of(inst))
+    solved = len(calls)
+    monkeypatch.undo()
+    assert_same_result(res, reference_local_search(problem_of(inst)))
+    # the reference solves the seed and all 2 * 18 swaps of every sweep
+    assert 0 < solved < 36 // 2
+
+
+@st.composite
+def bound_premise_cases(draw):
+    """A small residual problem of any constraint kind, with coordinates
+    spread over a wide range so that summation order shows."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e7]))
+    coord = st.floats(0, 100, allow_nan=False).map(lambda v: v * scale)
+    xs = draw(st.lists(coord, min_size=1, max_size=6, unique=True))
+    fs = draw(st.lists(coord, min_size=1, max_size=4, unique=True))
+    k = draw(st.integers(1, min(3, len(fs))))
+    n = len(xs)
+    kind = draw(st.sampled_from(["unconstrained", "capacitated",
+                                 "size_bounds", "label_bounds",
+                                 "fractional", "outlier_label_quota"]))
+    labels = None
+    if kind in ("label_bounds", "fractional", "outlier_label_quota"):
+        labels = draw(st.lists(st.sampled_from("ab"), min_size=n,
+                               max_size=n))
+    if kind == "capacitated":
+        spec = {"kind": kind, "s": draw(st.lists(
+            st.integers(0, n), min_size=len(fs), max_size=len(fs)))}
+    elif kind == "size_bounds":
+        r = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        spec = {"kind": kind, "r": r,
+                "l": [ri + draw(st.integers(0, n)) for ri in r]}
+    elif kind == "label_bounds":
+        spec = {"kind": kind, "min_per_label": {"a": draw(st.integers(0, 1))},
+                "max_per_label": {"b": draw(st.integers(0, n))}}
+    elif kind == "fractional":
+        spec = {"kind": "label_bounds",
+                "alpha": {"a": draw(st.sampled_from(["0", "1/4", "1/3"]))},
+                "beta": {"a": draw(st.sampled_from(["1/2", "3/4", "1"]))}}
+    elif kind == "outlier_label_quota":
+        spec = {"kind": kind, "quota": {"a": draw(st.integers(0, 1))}}
+    else:
+        spec = {"kind": kind}
+    inst = line_instance(xs, fs, k=k, m=2, z=draw(st.sampled_from([1, 2])),
+                         constraint=spec, labels=labels)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return OutlierFreeProblem(inst, tuple(x for x, kept in zip(inst.X, keep)
+                                          if kept))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_premise_cases())
+def test_assignment_cost_is_at_least_shrunk_bound(prob):
+    # the local search skips a swap when its shrunk bound misses the
+    # acceptance threshold; that is sound only if no feasible assignment
+    # of the same centers costs less than the shrunk bound
+    inst = prob.inst
+    W_all = prob.weight_matrix()
+    tuples = solvers._center_tuples(len(inst.F), inst.k,
+                                    inst.constraint.cluster_indexed)
+    bounds = solvers._tuple_bounds(np.ascontiguousarray(W_all.T), tuples)
+    shrink = 1.0 - 4.0 * prob.n * np.finfo(float).eps
+    for cols, bound in zip(tuples, bounds):
+        res = _assign_with_matrix(prob, tuple(inst.F[j] for j in cols),
+                                  W_all[:, cols])
+        if res is not None:
+            assert res[1] >= bound * shrink

@@ -85,6 +85,8 @@ def _tau_json(tau):
 
 
 def cmd_solve(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     inst = load_instance(args.input)
     for note in inst.notes:
         log.warning("instance note: %s", note)
@@ -240,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("exact", "local-search"))
     p.add_argument("--trials", type=int, default=1,
                    help="independent sampling trials; best solution wins")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=1,
+                   help="accepted (>= 1) for compatibility; the (Y, tau) "
+                        "pairs always run serially")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline-seed", type=int, default=None)
     p.add_argument("--sample-seed", type=int, default=None)

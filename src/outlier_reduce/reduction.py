@@ -20,10 +20,11 @@ spent preparing counts toward the matching stage.
 Points of Y never appear on the matching's left side, so no point is
 removed twice. Duplicate pool draws collapse before subset enumeration;
 identical Y sets would produce identical subinstances. Pairs that remove
-the same set share one solver call; only the first pair's index and cost
-are kept, since a later pair ties in cost and loses on index. Iterations
-may be fanned out to a thread pool; the winner is chosen by (cost,
-iteration index), making parallel and serial runs byte-identical.
+the same set share one solver call; only the set's cost is kept, since a
+later pair ties in cost and loses on index. Pairs run serially in index
+order, and the winner is the first pair of least cost.
+``ReductionConfig.parallel`` is still accepted, but every setting runs
+the same serial loop, so outputs do not depend on it.
 
 For squared-distance costs the configured epsilon is tightened to
 epsilon^2 / (2m+1)^2 before use (once), which turns the raw additive
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterator
 
 import numpy as np
@@ -107,12 +108,16 @@ class ReductionConfig:
     sample_seed: int = 0
     sampling: str = "random"        # "random" | "exhaustive"
     z2_substitution: bool = True
-    parallel: int = 1
+    parallel: int = 1               # accepted; pairs always run serially
     early_stop_zero: bool = False
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
+        # beta is an approximation factor, and it sizes the sample pool
+        if self.beta is not None and not (math.isfinite(self.beta)
+                                          and self.beta >= 1):
+            raise ValueError("beta must be a finite number >= 1")
         if self.sampling not in ("random", "exhaustive"):
             raise ValueError(f"unknown sampling mode: {self.sampling!r}")
         if self.parallel < 1:
@@ -273,87 +278,57 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
     t0 = time.perf_counter()
     prepared = _Prepared(inst, anchors, labelled)
     t_prepare = time.perf_counter() - t0
-    iterations = []
-    for Y in enumerate_outlier_subsets(pool, m):
-        for tau in enumerate_valid_tuples(m - len(Y), num_anchors, num_labels):
-            iterations.append((len(iterations), Y, tau))
-    q = len(iterations)
+    pairs = [(Y, tau) for Y in enumerate_outlier_subsets(pool, m)
+             for tau in enumerate_valid_tuples(m - len(Y), num_anchors,
+                                               num_labels)]
+    q = len(pairs)
 
-    # removed set -> (first index that solved it, its cost or None). A later
-    # pair with the same set has an equal cost and a larger index, so it
-    # can never win and needs no solution. Under threads a larger index may
-    # get there first; the smaller one then solves again.
-    solver_cache: dict[frozenset[int], tuple[int, float | None]] = {}
+    # removed set -> its cost, or None when the solver found it infeasible
+    solver_cache: dict[frozenset[int], float | None] = {}
     timings = {"baseline": t_baseline, "sampling": t_sampling,
                "matching": t_prepare, "solver": 0.0}
-
-    def run_iteration(item):
-        """(record, solution or None, matching seconds, solver seconds)."""
-        index, Y, tau = item
+    records: list[IterationRecord] = []
+    best: tuple[Solution, tuple[int, ...], ValidTuple] | None = None
+    for index, (Y, tau) in enumerate(pairs):
         start = time.perf_counter()
         try:
             matching = solve_bmatching(prepared.matching_problem(Y, tau))
         except BMatchingInfeasible:
             t_match = time.perf_counter() - start
-            return (IterationRecord(index, Y, tau, None, None, False, t_match),
-                    None, t_match, 0.0)
+            timings["matching"] += t_match
+            records.append(IterationRecord(index, Y, tau, None, None, False,
+                                           t_match))
+            continue
         ts = time.perf_counter()
-        t_match = ts - start
+        timings["matching"] += ts - start
         removed = frozenset(Y) | matching.matched_left
-        result = None
-        cached = solver_cache.get(removed)
-        if cached is not None and cached[0] < index:
-            cost = cached[1]
+        if removed in solver_cache:
+            cost = solver_cache[removed]
         else:
             problem = prepared.residual(removed)
             result = plugin.solve(problem, config.baseline_seed)
+            cost = None if result is None else result.cost
             if result is not None:
                 _validate_plugin_output(inst, problem.X_prime, result)
-            cost = None if result is None else result.cost
-            solver_cache[removed] = (index, cost)
+                # a tie keeps the earlier pair: the winner is the first
+                # cheapest pair in index order
+                if best is None or cost < best[0].cost:
+                    best = (Solution(outliers=removed, clusters=result.clusters,
+                                     centers=result.centers, cost=cost),
+                            Y, tau)
+            solver_cache[removed] = cost
         end = time.perf_counter()
-        record = IterationRecord(index, Y, tau, matching.total_weight, cost,
-                                 cost is not None, end - start)
-        solution = None if result is None else Solution(
-            outliers=removed, clusters=result.clusters,
-            centers=result.centers, cost=result.cost)
-        return record, solution, t_match, end - ts
-
-    records: list[IterationRecord] = []
-    best: tuple[float, int, Solution, tuple, ValidTuple] | None = None
-    chunk = max(1, 4 * config.parallel)
-
-    def consume(outcomes, items):
-        # stage times are summed here, on the calling thread only
-        nonlocal best
-        for (record, solution, t_match, t_solve), (index, Y, tau) in zip(
-                outcomes, items):
-            records.append(record)
-            timings["matching"] += t_match
-            timings["solver"] += t_solve
-            if solution is not None:
-                key = (solution.cost, index)
-                if best is None or key < (best[0], best[1]):
-                    best = (solution.cost, index, solution, Y, tau)
-
-    if config.parallel == 1:
-        for start in range(0, q, chunk):
-            items = iterations[start:start + chunk]
-            consume([run_iteration(it) for it in items], items)
-            if config.early_stop_zero and best and best[0] <= COST_ZERO_ATOL:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool_exec:
-            for start in range(0, q, chunk):
-                items = iterations[start:start + chunk]
-                consume(list(pool_exec.map(run_iteration, items)), items)
-                if config.early_stop_zero and best and best[0] <= COST_ZERO_ATOL:
-                    break
+        timings["solver"] += end - ts
+        records.append(IterationRecord(index, Y, tau, matching.total_weight,
+                                       cost, cost is not None, end - start))
+        if (config.early_stop_zero and best is not None
+                and best[0].cost <= COST_ZERO_ATOL):
+            break
 
     if best is None:
         raise ReductionInfeasible(
             f"all {q} (Y, tau) iterations were infeasible")
-    _, _, solution, chosen_Y, chosen_tau = best
+    solution, chosen_Y, chosen_tau = best
     return ReductionResult(
         solution=solution, records=records, q=q, effective_epsilon=eff_eps,
         beta=beta, anchors=anchors, pool=pool, chosen_Y=chosen_Y,

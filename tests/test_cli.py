@@ -69,6 +69,26 @@ def test_solve_deterministic_across_parallel(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_solve_rejects_trials_below_one(tmp_path, caplog):
+    inst = tmp_path / "inst.json"
+    run(["gen", "--out", inst, "--seed", 6, "--n", 8, "--k", 2, "--m", 1])
+    out = tmp_path / "sol.json"
+    for trials in (0, -1):
+        assert run(["solve", "--input", inst, "--out", out,
+                    "--trials", trials]) == 1
+    assert not out.exists()
+    assert "trials must be >= 1" in caplog.text
+
+
+def test_solve_rejects_infinite_beta(tmp_path, caplog):
+    inst = tmp_path / "inst.json"
+    run(["gen", "--out", inst, "--seed", 6, "--n", 8, "--k", 2, "--m", 1])
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", inst, "--out", out, "--beta", "inf"]) == 1
+    assert not out.exists()
+    assert "beta must be a finite number >= 1" in caplog.text
+
+
 def test_solve_oracle_ratio_within_bound(tmp_path):
     inst = tmp_path / "inst.json"
     run(["gen", "--out", inst, "--seed", 8, "--n", 9, "--k", 2, "--m", 1,

@@ -185,6 +185,28 @@ def test_early_stop_zero_cost():
     assert len(stopped.records) <= len(full.records)
 
 
+def test_early_stop_ends_at_the_first_zero_cost_pair():
+    # two clusters of three coincident points and two far points: removing
+    # the far pair costs 0, and the run stops at the first pair that does,
+    # whatever the parallel setting
+    pos = [0, 0, 0, 10, 10, 10, 50, 90]
+    inst = instance_from_dict({
+        "metric": {"kind": "matrix",
+                   "matrix": [[float(abs(a - b)) for b in pos] for a in pos]},
+        "z": 1, "points": list(range(8)), "facilities": list(range(8)),
+        "k": 2, "m": 2, "constraint": {"kind": "unconstrained"}})
+    runs = [run_reduction(inst, exhaustive_config(parallel=parallel,
+                                                  early_stop_zero=True), EXACT)
+            for parallel in (1, 4)]
+    at_1, at_4 = (run_fields(res.records, res.solution, res.chosen_Y,
+                             res.chosen_tau, res.q) for res in runs)
+    assert at_1 == at_4
+    zero = [r.solver_cost is not None
+            and r.solver_cost <= reduction.COST_ZERO_ATOL
+            for r in runs[0].records]
+    assert zero[-1] and not any(zero[:-1])
+
+
 def test_random_sampling_pool_size():
     inst = generate_instance(GeneratorConfig(n=10, k=2, m=2), seed=8)
     cfg = ReductionConfig(sampling="random", sample_seed=1)
@@ -200,6 +222,11 @@ def test_config_validation():
         ReductionConfig(sampling="sometimes")
     with pytest.raises(ValueError):
         ReductionConfig(parallel=0)
+    for beta in (math.inf, -math.inf, math.nan, -1.0, 0.0, 0.5):
+        with pytest.raises(ValueError):
+            ReductionConfig(beta=beta)
+    for beta in (None, 1, 1.0, 25.0):
+        assert ReductionConfig(beta=beta).beta == beta
 
 
 def test_parallel_matches_serial_when_removed_sets_repeat():
@@ -358,13 +385,15 @@ def test_stage_times_cover_the_run():
     inst = generate_instance(GeneratorConfig(n=12, k=2, m=2,
                                              constraint="capacitated"),
                              seed=3)
-    start = time.perf_counter()
-    res = run_reduction(inst, exhaustive_config(), EXACT)
-    wall = time.perf_counter() - start
-    staged = sum(res.timings[stage] for stage in
-                 ("baseline", "sampling", "matching", "solver"))
-    assert set(res.timings) == {"baseline", "sampling", "matching", "solver"}
-    assert 0.5 * wall <= staged <= wall
+    for parallel in (1, 4):
+        start = time.perf_counter()
+        res = run_reduction(inst, exhaustive_config(parallel=parallel), EXACT)
+        wall = time.perf_counter() - start
+        staged = sum(res.timings[stage] for stage in
+                     ("baseline", "sampling", "matching", "solver"))
+        assert set(res.timings) == {"baseline", "sampling", "matching",
+                                    "solver"}
+        assert 0.5 * wall <= staged <= wall
 
 
 def test_matches_reference_loop_when_matchings_fail():

@@ -13,7 +13,7 @@ from .bmatching import (BMatchingInfeasible, BMatchingProblem,
 from .instance import (ClusteringInstance, ConstraintSpec, Solution,
                        check, cost, instance_from_dict, load_instance,
                        validate_solution)
-from .metric import MetricSpace, distance, point_to_set, powered_distance
+from .metric import MetricSpace
 from .oracle import OracleBudget, exact_outlier_opt, ulam_bfs
 from .reduction import (ReductionConfig, ReductionInfeasible, ReductionResult,
                         run_reduction)

@@ -97,9 +97,11 @@ def cmd_solve(args) -> int:
                    else derive_seed(args.seed, "sampling"))
     sampling = "exhaustive" if args.exhaustive_sample else "random"
 
+    # the exhaustive pool ignores the sample seed: more trials would repeat it
+    trials = 1 if args.exhaustive_sample else args.trials
     best = None
     started = time.perf_counter()
-    for trial in range(args.trials):
+    for trial in range(trials):
         config = ReductionConfig(
             epsilon=args.epsilon, beta=args.beta,
             baseline_seed=baseline_seed,
@@ -115,7 +117,7 @@ def cmd_solve(args) -> int:
             best = result
     wall = time.perf_counter() - started
     if best is None:
-        log.error("no feasible solution over %d trial(s)", args.trials)
+        log.error("no feasible solution over %d trial(s)", trials)
         return EXIT_INFEASIBLE
 
     stats = None
@@ -136,7 +138,7 @@ def cmd_solve(args) -> int:
                 "epsilon": args.epsilon, "beta": best.beta,
                 "effective_epsilon": best.effective_epsilon,
                 "solver": args.solver, "sampling": sampling,
-                "trials": args.trials, "parallel": args.parallel,
+                "trials": trials, "parallel": args.parallel,
                 "seed": args.seed,
             },
             "q": best.q,
@@ -241,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default="exact",
                    choices=("exact", "local-search"))
     p.add_argument("--trials", type=int, default=1,
-                   help="independent sampling trials; best solution wins")
+                   help="independent sampling trials; best solution wins "
+                        "(one with --exhaustive-sample)")
     p.add_argument("--parallel", type=int, default=1,
                    help="accepted (>= 1) for compatibility; the (Y, tau) "
                         "pairs always run serially")

@@ -101,14 +101,17 @@ def _euclidean_points(cfg: GeneratorConfig, rng: np.random.Generator):
     return points, fac
 
 
+def _move(perm: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    rest = perm[:i] + perm[i + 1:]
+    return rest[:j] + (perm[i],) + rest[j:]
+
+
 def _random_move(perm: tuple[int, ...], rng: np.random.Generator):
     n = len(perm)
     if n < 2:
         return perm
     i = int(rng.integers(0, n))
-    j = int(rng.integers(0, n - 1))
-    rest = perm[:i] + perm[i + 1:]
-    return rest[:j] + (perm[i],) + rest[j:]
+    return _move(perm, i, int(rng.integers(0, n - 1)))
 
 
 def _ulam_points(cfg: GeneratorConfig, rng: np.random.Generator):
@@ -122,6 +125,14 @@ def _ulam_points(cfg: GeneratorConfig, rng: np.random.Generator):
         cand = tuple(int(v) for v in rng.permutation(cfg.perm_len) + 1)
         if cand not in sites:
             sites.append(cand)
+    # the inlier loop below draws from these and would never end on fewer
+    reachable = set(sites) | {_move(s, i, j) for s in sites
+                              for i in range(cfg.perm_len)
+                              for j in range(cfg.perm_len - 1)}
+    if len(reachable) < cfg.n - cfg.m:
+        raise ValueError(f"the sites' one-move neighbourhoods hold "
+                         f"{len(reachable)} permutations, fewer than n - m = "
+                         f"{cfg.n - cfg.m}")
     points: list[tuple[int, ...]] = []
     seen = set()
     while len(points) < cfg.n - cfg.m:

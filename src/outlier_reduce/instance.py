@@ -373,24 +373,13 @@ def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], where: str) -> No
         raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
-def _build_ground_set(kind: str, points: list, facilities: list):
-    """Deduplicate X ∪ F into a ground table; return (table, X refs, F refs)."""
-    def key_of(p):
-        if isinstance(p, (list, tuple)):
-            return tuple(p)
-        return (float(p),)
-
-    table: list = []
+def _build_ground_set(points: list, facilities: list, point):
+    """Deduplicate X ∪ F, each raw point mapped to a tuple by ``point``, into
+    a ground table; return (table, X refs, F refs)."""
     index: dict = {}
-    refs_x, refs_f = [], []
-    for raw, out in ((points, refs_x), (facilities, refs_f)):
-        for p in raw:
-            key = key_of(p)
-            if key not in index:
-                index[key] = len(table)
-                table.append(p)
-            out.append(index[key])
-    return table, refs_x, refs_f
+    refs_x = [index.setdefault(point(p), len(index)) for p in points]
+    refs_f = [index.setdefault(point(p), len(index)) for p in facilities]
+    return list(index), refs_x, refs_f
 
 
 def instance_from_dict(data: Mapping[str, Any]) -> ClusteringInstance:
@@ -414,18 +403,13 @@ def instance_from_dict(data: Mapping[str, Any]) -> ClusteringInstance:
                 raise ValueError(f"ref {r} outside the distance matrix")
     elif kind == "euclidean":
         dim = int(metric["dim"])
-        pts = [[p] if dim == 1 and not isinstance(p, (list, tuple)) else p
-               for p in points]
-        fac = [[p] if dim == 1 and not isinstance(p, (list, tuple)) else p
-               for p in facilities]
-        table, refs_x, refs_f = _build_ground_set(kind, [tuple(map(float, p)) for p in pts],
-                                                  [tuple(map(float, p)) for p in fac])
+        table, refs_x, refs_f = _build_ground_set(points, facilities, lambda p: tuple(
+            map(float, [p] if dim == 1 and not isinstance(p, (list, tuple)) else p)))
         space = euclidean_space(table, z, dim)
     elif kind == "ulam":
         perm_len = int(metric["perm_len"])
         table, refs_x, refs_f = _build_ground_set(
-            kind, [tuple(map(int, p)) for p in points],
-            [tuple(map(int, p)) for p in facilities])
+            points, facilities, lambda p: tuple(map(int, p)))
         space = ulam_space(table, z, perm_len)
     else:
         raise ValueError(f"unknown metric kind: {kind!r}")
@@ -489,7 +473,7 @@ def constraint_to_dict(spec: ConstraintSpec) -> dict[str, Any]:
 def instance_to_dict(inst: ClusteringInstance) -> dict[str, Any]:
     space = inst.space
     if space.kind == "matrix":
-        metric = {"kind": "matrix", "matrix": space._dist.tolist()}
+        metric = {"kind": "matrix", "matrix": space.matrix.tolist()}
         points: list = list(inst.X)
         facilities: list = list(inst.F)
     elif space.kind == "euclidean":
@@ -498,8 +482,8 @@ def instance_to_dict(inst: ClusteringInstance) -> dict[str, Any]:
         facilities = [space.coords[f].tolist() for f in inst.F]
     else:
         metric = {"kind": "ulam", "perm_len": space.perm_len}
-        points = [list(space.perms[x]) for x in inst.X]
-        facilities = [list(space.perms[f]) for f in inst.F]
+        points = [space.perms[x].tolist() for x in inst.X]
+        facilities = [space.perms[f].tolist() for f in inst.F]
     out = {
         "metric": metric,
         "z": space.z,

@@ -11,13 +11,15 @@ Three metric families are supported:
 
 Every space carries a power exponent z in {1, 2}. The powered distance
 D^z is what all cost computations use. A space is immutable after
-construction and precomputes the full pairwise distance table, so all
-lookups are O(1) and concurrent readers are safe.
+construction and keeps only its input: the coordinates, the permutations
+or the given matrix. Distances are computed on demand for the row x column
+blocks that callers ask for, so no n x n table is built for Euclidean or
+Ulam points, and the clustering hot paths read only client x facility
+blocks.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -30,26 +32,24 @@ __all__ = [
     "matrix_space_from_csv",
     "ulam_space_from_file",
     "ulam_distance",
-    "distance",
-    "powered_distance",
-    "point_to_set",
 ]
 
 # Absolute tolerance for cost comparisons across the package.
 COST_ATOL = 1e-9
-EUCLIDEAN_BLOCK_ELEMENTS = 1 << 20
+# Elements in the temporaries of one row slice of a computed block.
+BLOCK_ELEMENTS = 1 << 20
 
 
-def _lis_length(seq: Sequence[int]) -> int:
-    """Length of the longest strictly increasing subsequence (patience sorting)."""
-    tails: list[int] = []
-    for x in seq:
-        i = bisect.bisect_left(tails, x)
-        if i == len(tails):
-            tails.append(x)
-        else:
-            tails[i] = x
-    return len(tails)
+def _lis_lengths(seqs: np.ndarray) -> np.ndarray:
+    """Longest increasing subsequence length of each row of distinct values
+    in 0..L-1, by patience sorting all rows at once (L marks an empty pile)."""
+    count, length = seqs.shape
+    tails = np.full((count, length), length)
+    every = np.arange(count)
+    for t in range(length):
+        x = seqs[:, t]
+        tails[every, (tails < x[:, None]).sum(axis=1)] = x
+    return (tails < length).sum(axis=1)
 
 
 def ulam_distance(p: Sequence[int], q: Sequence[int]) -> int:
@@ -58,16 +58,7 @@ def ulam_distance(p: Sequence[int], q: Sequence[int]) -> int:
     Equals n minus the LIS length of p relabelled by positions in q
     (i.e. of the composition q^{-1} o p).
     """
-    n = len(p)
-    if len(q) != n:
-        raise ValueError(f"permutation length mismatch: {n} vs {len(q)}")
-    expected = set(range(1, n + 1))
-    if set(p) != expected or set(q) != expected:
-        raise ValueError("inputs must be permutations of {1..n}")
-    pos_in_q = [0] * (n + 1)
-    for i, v in enumerate(q):
-        pos_in_q[v] = i
-    return n - _lis_length([pos_in_q[v] for v in p])
+    return int(ulam_space([p, q], 1, len(p)).distance(0, 1))
 
 
 class MetricSpace:
@@ -78,57 +69,80 @@ class MetricSpace:
     ``ulam_space`` constructors rather than instantiating directly.
     """
 
-    def __init__(self, kind: str, z: int, dist: np.ndarray, *,
+    def __init__(self, kind: str, z: int, *,
+                 matrix: np.ndarray | None = None,
                  coords: np.ndarray | None = None,
-                 perms: tuple[tuple[int, ...], ...] | None = None,
+                 perms: np.ndarray | None = None,
                  dim: int | None = None,
                  perm_len: int | None = None):
         if z not in (1, 2):
             raise ValueError(f"z must be 1 or 2, got {z}")
         self.kind = kind
         self.z = z
+        self.matrix = matrix
         self.coords = coords
         self.perms = perms
         self.dim = dim
         self.perm_len = perm_len
-        self._dist = dist
-        self._pow = dist if z == 1 else dist ** 2
-        for arr in (self._dist, self._pow, coords):
+        for arr in (matrix, coords, perms):
             if arr is not None:
                 arr.flags.writeable = False
+                self.size = arr.shape[0]
 
-    @property
-    def size(self) -> int:
-        return self._dist.shape[0]
+    def _check_ref(self, *refs: int) -> None:
+        for a in refs:
+            if not (0 <= a < self.size):
+                raise IndexError(f"point ref {a} out of range [0, {self.size})")
 
-    def _check_ref(self, a: int) -> None:
-        if not (0 <= a < self.size):
-            raise IndexError(f"point ref {a} out of range [0, {self.size})")
+    def _block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """D on rows x cols, computed from the stored points in row slices
+        whose temporaries hold about BLOCK_ELEMENTS elements each."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        if self.kind == "matrix":
+            return self.matrix[np.ix_(rows, cols)]
+        out = np.empty((len(rows), len(cols)))
+        width = self.dim if self.kind == "euclidean" else self.perm_len
+        step = max(1, BLOCK_ELEMENTS // max(len(cols) * width, 1))
+        if self.kind == "euclidean":
+            right = self.coords[cols]
+            for lo in range(0, len(rows), step):
+                diff = self.coords[rows[lo:lo + step], None, :] - right[None, :, :]
+                np.square(diff, out=diff)
+                np.sqrt(diff.sum(axis=2), out=out[lo:lo + step])
+        else:
+            # position of each value in each column permutation
+            where = np.argsort(self.perms[cols], axis=1)
+            for lo in range(0, len(rows), step):
+                part = rows[lo:lo + step]
+                relabelled = where[:, self.perms[part] - 1]  # cols x part x L
+                lis = _lis_lengths(relabelled.reshape(-1, self.perm_len))
+                out[lo:lo + step] = self.perm_len - lis.reshape(len(cols), len(part)).T
+        return out
 
     def distance(self, a: int, b: int) -> float:
-        self._check_ref(a)
-        self._check_ref(b)
-        return float(self._dist[a, b])
+        self._check_ref(a, b)
+        return float(self._block([a], [b])[0, 0])
 
     def powered(self, a: int, b: int) -> float:
-        self._check_ref(a)
-        self._check_ref(b)
-        return float(self._pow[a, b])
+        self._check_ref(a, b)
+        return float(self.powered_rows([a], [b])[0, 0])
 
     def powered_to_set(self, x: int, refs: Iterable[int]) -> tuple[float, int]:
         """Minimum powered distance from x to a nonempty set, with the achieving
         member. Ties break toward the lowest ground-set index."""
         members = sorted(set(refs))
         if not members:
-            raise ValueError("point_to_set requires a nonempty set")
+            raise ValueError("powered_to_set requires a nonempty set")
         self._check_ref(x)
-        row = self._pow[x, members]
+        row = self.powered_rows([x], members)[0]
         i = int(np.argmin(row))  # argmin returns the first minimum: lowest index
         return float(row[i]), members[i]
 
     def powered_rows(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Read-only powered-distance block for the given refs."""
-        return self._pow[np.ix_(list(rows), list(cols))]
+        """Powered-distance block D^z for the given refs, as a new array."""
+        block = self._block(rows, cols)
+        return block if self.z == 1 else block ** 2
 
     def validate_triangle(self, samples: int = 200, seed: int = 0,
                           atol: float = COST_ATOL) -> None:
@@ -141,7 +155,8 @@ class MetricSpace:
         n = self.size
         for _ in range(samples):
             a, b, c = rng.integers(0, n, size=3)
-            if self._dist[a, c] > self._dist[a, b] + self._dist[b, c] + atol:
+            d = self._block([a, b], [b, c])  # D(a,b) D(a,c) / D(b,b) D(b,c)
+            if d[0, 1] > d[0, 0] + d[1, 1] + atol:
                 raise ValueError(
                     f"triangle inequality violated on triple ({a}, {b}, {c})")
 
@@ -154,15 +169,7 @@ def euclidean_space(coords: Sequence[Sequence[float]], z: int, dim: int) -> Metr
         raise ValueError(f"expected points of dimension {dim}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("point coordinates must be finite")
-    # rows in blocks, so the n x rows x dim temporary stays near 1 M elements
-    n = arr.shape[0]
-    dist = np.empty((n, n))
-    rows = max(1, EUCLIDEAN_BLOCK_ELEMENTS // max(n * dim, 1))
-    for lo in range(0, n, rows):
-        diff = arr[lo:lo + rows, None, :] - arr[None, :, :]
-        np.square(diff, out=diff)
-        np.sqrt(diff.sum(axis=2), out=dist[lo:lo + rows])
-    return MetricSpace("euclidean", z, dist, coords=arr, dim=dim)
+    return MetricSpace("euclidean", z, coords=arr, dim=dim)
 
 
 def matrix_space(matrix: Sequence[Sequence[float]], z: int) -> MetricSpace:
@@ -177,7 +184,7 @@ def matrix_space(matrix: Sequence[Sequence[float]], z: int) -> MetricSpace:
         raise ValueError("distance matrix diagonal must be zero")
     if not np.allclose(dmat, dmat.T, atol=COST_ATOL):
         raise ValueError("distance matrix must be symmetric")
-    return MetricSpace("matrix", z, dmat)
+    return MetricSpace("matrix", z, matrix=dmat)
 
 
 def ulam_space(perms: Sequence[Sequence[int]], z: int, perm_len: int) -> MetricSpace:
@@ -187,12 +194,8 @@ def ulam_space(perms: Sequence[Sequence[int]], z: int, perm_len: int) -> MetricS
         if len(t) != perm_len or set(t) != set(range(1, perm_len + 1)):
             raise ValueError(f"not a permutation of 1..{perm_len}: {p}")
         table.append(t)
-    n = len(table)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = ulam_distance(table[i], table[j])
-    return MetricSpace("ulam", z, dist, perms=tuple(table), perm_len=perm_len)
+    arr = np.array(table, dtype=np.intp).reshape(len(table), perm_len)
+    return MetricSpace("ulam", z, perms=arr, perm_len=perm_len)
 
 
 def matrix_space_from_csv(path: str, z: int) -> MetricSpace:
@@ -213,14 +216,3 @@ def ulam_space_from_file(path: str, z: int) -> MetricSpace:
         raise ValueError(f"no permutations in {path}")
     return ulam_space(perms, z, perm_len=len(perms[0]))
 
-
-def distance(space: MetricSpace, a: int, b: int) -> float:
-    return space.distance(a, b)
-
-
-def powered_distance(space: MetricSpace, a: int, b: int) -> float:
-    return space.powered(a, b)
-
-
-def point_to_set(space: MetricSpace, x: int, refs: Iterable[int]) -> tuple[float, int]:
-    return space.powered_to_set(x, refs)

@@ -528,6 +528,8 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
 
 
 def get_plugin(name: str, *, work_budget: int = DEFAULT_WORK_BUDGET) -> SolverPlugin:
+    if work_budget < 1:
+        raise ValueError(f"work budget must be >= 1, got {work_budget}")
     if name == "exact":
         def run_exact(problem, rng_seed=0):
             return solve_exact(problem, rng_seed, work_budget=work_budget)

@@ -11,11 +11,14 @@ a tuple of refs; it checks the prepared pipeline record for record.
 ``reference_local_search`` and ``reference_solve_unconstrained`` are the
 earlier swap loops of the local-search plugin and the anchor solver,
 which solved or scored every swap one at a time; they check the
-bound-scored sweeps bitwise.
+bound-scored sweeps bitwise. ``reference_powered_table`` is the full
+n x n table a metric space once precomputed at construction; it checks
+the blocks that spaces now compute on demand, bitwise.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -56,6 +59,28 @@ def fref_of(inst: ClusteringInstance, value: float) -> int:
         if abs(inst.space.coords[f][0] - value) < 1e-12:
             return f
     raise KeyError(value)
+
+
+def reference_powered_table(space) -> np.ndarray:
+    """D^z over every pair of the ground set: one broadcast for Euclidean
+    points, the upper triangle pair by pair (patience-sorted LIS of one
+    permutation relabelled through the other) for Ulam ones."""
+    if space.kind == "euclidean":
+        diff = space.coords[:, None, :] - space.coords[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+    elif space.kind == "ulam":
+        perms = space.perms.tolist()
+        dist = np.zeros((len(perms), len(perms)))
+        for i, j in itertools.combinations(range(len(perms)), 2):
+            pos = {v: t for t, v in enumerate(perms[j])}
+            tails: list[int] = []
+            for x in (pos[v] for v in perms[i]):
+                at = bisect.bisect_left(tails, x)
+                tails[at:at + 1] = [x]
+            dist[i, j] = dist[j, i] = len(perms[i]) - len(tails)
+    else:
+        dist = space.matrix
+    return dist if space.z == 1 else dist ** 2
 
 
 def random_bmatching_problem(rng, labelled=False, max_left=8, max_right=3,

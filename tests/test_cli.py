@@ -34,6 +34,16 @@ def test_gen_ulam_permutations(tmp_path):
         assert sorted(p) == list(range(1, 6))
 
 
+def test_gen_ulam_rejects_unreachable_inlier_count(tmp_path, caplog):
+    # two sites' one-move neighbourhoods of length-8 permutations hold
+    # fewer than the 118 distinct inliers asked for
+    out = tmp_path / "u.json"
+    assert run(["gen", "--out", out, "--metric", "ulam", "--n", 120,
+                "--k", 2, "--perm-len", 8]) == 1
+    assert not out.exists()
+    assert "fewer than n - m = 118" in caplog.text
+
+
 def test_solve_eval_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     sol = tmp_path / "sol.json"
@@ -78,6 +88,34 @@ def test_solve_rejects_trials_below_one(tmp_path, caplog):
                     "--trials", trials]) == 1
     assert not out.exists()
     assert "trials must be >= 1" in caplog.text
+
+
+def test_solve_rejects_exact_budget_below_one(tmp_path, caplog):
+    inst = tmp_path / "inst.json"
+    run(["gen", "--out", inst, "--seed", 6, "--n", 8, "--k", 2, "--m", 1])
+    out = tmp_path / "sol.json"
+    for budget in (0, -1):
+        assert run(["solve", "--input", inst, "--out", out,
+                    "--exact-budget", budget]) == 1
+    assert not out.exists()
+    assert "work budget must be >= 1" in caplog.text
+
+
+def test_exhaustive_trials_run_one_reduction(tmp_path):
+    # the exhaustive pool ignores the sample seed: extra trials would only
+    # repeat the reduction, so the report's stages cover the whole run
+    inst = tmp_path / "inst.json"
+    run(["gen", "--out", inst, "--seed", 1, "--n", 14, "--k", 2, "--m", 2])
+    sols = []
+    for trials in (1, 3):
+        sol, report = tmp_path / f"sol{trials}.json", tmp_path / "report.json"
+        assert run(["solve", "--input", inst, "--out", sol, "--report", report,
+                    "--exhaustive-sample", "--trials", trials]) == 0
+        sols.append(sol.read_bytes())
+        times = json.loads(report.read_text())["stage_times"]
+        total = times.pop("total")
+        assert sum(times.values()) <= total < 2 * sum(times.values())
+    assert sols[0] == sols[1]
 
 
 def test_solve_rejects_infinite_beta(tmp_path, caplog):

@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outlier_reduce.gen import GeneratorConfig, generate_instance_dict
 from outlier_reduce.instance import (ConstraintSpec, Solution, check, cost,
                                      instance_from_dict, instance_to_dict,
                                      validate_solution)
+
 from helpers import fref_of, line_instance, ref_of
 
 
@@ -170,6 +173,32 @@ def test_json_round_trip():
     again = instance_from_dict(data)
     assert again.n == inst.n and again.k == inst.k and again.m == inst.m
     assert again.constraint == inst.constraint
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "matrix", "ulam"])
+def test_json_round_trip_every_metric(metric):
+    data = generate_instance_dict(
+        GeneratorConfig(n=9, k=2, m=1, metric=metric, facilities="centers",
+                        constraint="label_bounds"), seed=3)
+    inst = instance_from_dict(data)
+    assert json.loads(json.dumps(instance_to_dict(inst))) == data
+
+
+def test_load_keeps_only_the_client_facility_block():
+    # 2000 clients and 5 facilities: the space holds its 2005 points, not a
+    # 2005 x 2005 table, and pow_xf is the instance's only distance array
+    rng = np.random.default_rng(0)
+    points = rng.uniform(-50.0, 50.0, size=(2000, 2)).tolist()
+    inst = instance_from_dict({
+        "metric": {"kind": "euclidean", "dim": 2}, "z": 1, "points": points,
+        "facilities": points[:5], "k": 2, "m": 1,
+        "constraint": {"kind": "unconstrained"}})
+    on_space = [v for v in vars(inst.space).values()
+                if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in on_space) < 2 ** 20
+    floats = [name for name, v in vars(inst).items()
+              if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
+    assert floats == ["pow_xf"] and inst.pow_xf.shape == (2000, 5)
 
 
 def test_shared_ground_set_overlap():

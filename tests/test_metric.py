@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from outlier_reduce import metric
 from outlier_reduce.metric import (euclidean_space, matrix_space,
-                                   matrix_space_from_csv, point_to_set,
-                                   powered_distance, ulam_distance,
+                                   matrix_space_from_csv, ulam_distance,
                                    ulam_space, ulam_space_from_file)
 from outlier_reduce.oracle import ulam_bfs
+
+from helpers import reference_powered_table
 
 
 def test_euclidean_1d_distance():
@@ -20,7 +21,7 @@ def test_euclidean_1d_distance():
 
 def test_powered_distance_squares():
     space = euclidean_space([[0.0], [3.0]], z=2, dim=1)
-    assert powered_distance(space, 0, 1) == 9.0
+    assert space.powered(0, 1) == 9.0
     assert space.distance(0, 1) == 3.0
 
 
@@ -28,12 +29,12 @@ def test_powered_z1_equals_distance():
     space = euclidean_space([[1.5], [-2.0], [4.0]], z=1, dim=1)
     for a in range(3):
         for b in range(3):
-            assert powered_distance(space, a, b) == space.distance(a, b)
+            assert space.powered(a, b) == space.distance(a, b)
 
 
 def test_matrix_powered():
     space = matrix_space([[0.0, 2.0], [2.0, 0.0]], z=2)
-    assert powered_distance(space, 0, 1) == 4.0
+    assert space.powered(0, 1) == 4.0
 
 
 def test_matrix_validation_errors():
@@ -74,25 +75,25 @@ def test_ulam_matches_bfs_exhaustive_len4():
 
 def test_point_to_set_member():
     space = euclidean_space([[0.0], [5.0], [9.0]], z=1, dim=1)
-    assert point_to_set(space, 1, {0, 1, 2}) == (0.0, 1)
+    assert space.powered_to_set(1, {0, 1, 2}) == (0.0, 1)
 
 
 def test_point_to_set_nearest():
     space = euclidean_space([[5.0], [0.0], [4.0], [9.0]], z=1, dim=1)
-    dist, member = point_to_set(space, 0, {1, 2, 3})
+    dist, member = space.powered_to_set(0, {1, 2, 3})
     assert dist == 1.0 and member == 2
 
 
 def test_point_to_set_tie_breaks_lowest_index():
     space = euclidean_space([[5.0], [3.0], [7.0]], z=2, dim=1)
-    dist, member = point_to_set(space, 0, {1, 2})
+    dist, member = space.powered_to_set(0, {1, 2})
     assert dist == 4.0 and member == 1
 
 
 def test_point_to_set_empty_raises():
     space = euclidean_space([[0.0]], z=1, dim=1)
     with pytest.raises(ValueError):
-        point_to_set(space, 0, set())
+        space.powered_to_set(0, set())
 
 
 @st.composite
@@ -174,9 +175,46 @@ def test_euclidean_blocked_build_matches_broadcast(dim, n, monkeypatch):
     expect = np.sqrt((diff ** 2).sum(axis=2))
     for block in (None, 37 * n * dim):
         if block is not None:
-            monkeypatch.setattr(metric, "EUCLIDEAN_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(metric, "BLOCK_ELEMENTS", block)
         space = euclidean_space(arr, z=1, dim=dim)
-        assert space._dist.tobytes() == expect.tobytes()
+        assert space.powered_rows(range(n), range(n)).tobytes() == expect.tobytes()
+
+
+def _random_space(kind, z, rng):
+    if kind == "matrix":
+        pts = rng.normal(scale=10.0, size=(40, 3))
+        diff = pts[:, None, :] - pts[None, :, :]
+        return matrix_space(np.sqrt((diff ** 2).sum(axis=2)), z)
+    if kind == "ulam":
+        perms = {tuple(rng.permutation(7) + 1) for _ in range(60)}
+        return ulam_space(sorted(perms), z, perm_len=7)
+    dim = int(kind.removeprefix("euclidean"))
+    return euclidean_space(rng.normal(scale=50.0, size=(60, dim)), z, dim)
+
+
+@pytest.mark.parametrize("z", [1, 2])
+@pytest.mark.parametrize("kind", ["euclidean1", "euclidean2", "euclidean9",
+                                  "matrix", "ulam"])
+def test_powered_rows_match_reference_table(kind, z, monkeypatch):
+    # random blocks, with repeated and empty row and column lists, against
+    # the full table, bit for bit; the small block slices Euclidean and
+    # Ulam rows one or two at a time
+    rng = np.random.default_rng(len(kind) * 10 + z)
+    space = _random_space(kind, z, rng)
+    table = reference_powered_table(space)
+    n = space.size
+    for block in (None, 11):
+        if block is not None:
+            monkeypatch.setattr(metric, "BLOCK_ELEMENTS", block)
+        for rows, cols in [(range(n), range(n)), ([], [0]), ([3], [])] + [
+                (rng.integers(0, n, rng.integers(1, 2 * n)),
+                 rng.integers(0, n, rng.integers(1, 8))) for _ in range(6)]:
+            got = space.powered_rows(rows, cols)
+            assert got.tobytes() == table[np.ix_(rows, cols)].tobytes()
+        a, b = (int(v) for v in rng.integers(0, n, 2))
+        assert space.powered(a, b) == table[a, b]
+        assert space.distance(a, b) ** z == pytest.approx(table[a, b])
+        space.validate_triangle(samples=50, seed=z)
 
 
 def test_non_finite_input_rejected():

@@ -100,6 +100,7 @@ def cmd_solve(args) -> int:
     # the exhaustive pool ignores the sample seed: more trials would repeat it
     trials = 1 if args.exhaustive_sample else args.trials
     best = None
+    stage_times: dict[str, float] = {}  # each stage summed over all trials
     started = time.perf_counter()
     for trial in range(trials):
         config = ReductionConfig(
@@ -113,6 +114,8 @@ def cmd_solve(args) -> int:
             result = run_reduction(inst, config, plugin)
         except ReductionInfeasible:
             continue
+        for stage, secs in result.timings.items():
+            stage_times[stage] = stage_times.get(stage, 0.0) + secs
         if best is None or result.solution.cost < best.solution.cost - 1e-12:
             best = result
     wall = time.perf_counter() - started
@@ -143,7 +146,7 @@ def cmd_solve(args) -> int:
             },
             "q": best.q,
             "cost": best.solution.cost,
-            "stage_times": dict(best.timings, total=wall),
+            "stage_times": dict(stage_times, total=wall),
         }
         if args.compare:
             with open(args.compare) as fh:

@@ -7,6 +7,13 @@ constraint. Feasibility (``check``) depends only on cluster cardinalities,
 per-(cluster, label) counts and center identities; the cost is the sum of
 powered distances from each clustered point to its own cluster's center.
 
+Every count rule lives in ``ConstraintSpec``: ``size_windows`` gives the
+per-cluster size windows of centers at given facility columns, and
+``label_window`` the count window of one label in a cluster of a given
+size, fractional bounds rounded inward exactly. ``check`` and the
+assignment engines in ``solvers`` read only these two and the instance's
+``windowed_labels``, so they enforce one and the same predicate.
+
 Instance files are JSON::
 
     {
@@ -32,13 +39,14 @@ Constraint objects::
     {"kind": "outlier_label_quota", "quota": {"a": 1}}
 
 Unknown fields are rejected. Fractional fairness bounds are parsed into
-exact rationals and compared by cross-multiplication, never through
+exact rationals and rounded to integer counts exactly, never through
 floats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Iterable, Mapping, Sequence
@@ -146,7 +154,30 @@ class ConstraintSpec:
 
     @property
     def fractional(self) -> bool:
-        return self.kind == "label_bounds" and self.alpha is not None
+        return self.kind == "label_bounds" and (
+            self.alpha is not None or self.beta is not None)
+
+    def size_windows(self, cols: Iterable[int]):
+        """Per-cluster (lower, upper) sizes for centers at the given facility
+        columns, or None when cluster sizes are free. Only the capacitated
+        kind reads ``cols``."""
+        if self.kind == "size_bounds":
+            return self.r, self.l
+        if self.kind == "capacitated":
+            upper = tuple(self.s[j] for j in cols)
+            return (0,) * len(upper), upper
+        return None
+
+    def label_window(self, lab: str, size: int) -> tuple[int, int]:
+        """(lo, hi) count of label ``lab`` in a label_bounds cluster of
+        ``size`` points: alpha·size rounded up to beta·size rounded down,
+        or the integral minimum to the integral maximum."""
+        if self.fractional:
+            a = (self.alpha or {}).get(lab, Fraction(0))
+            b = (self.beta or {}).get(lab, Fraction(1))
+            return math.ceil(a * size), math.floor(b * size)
+        return ((self.min_per_label or {}).get(lab, 0),
+                (self.max_per_label or {}).get(lab, size))
 
 
 class ClusteringInstance:
@@ -204,8 +235,11 @@ class ClusteringInstance:
                          if self.labels is not None else None)
         self.label_names = (tuple(sorted(set(self.labels)))
                             if self.labels is not None else None)
-        self.capacity_of = (dict(zip(self.F, constraint.s))
-                            if constraint.kind == "capacitated" else None)
+        # the labels whose count windows can bind: every label present, and
+        # any that an integral minimum names, which no cluster can then meet
+        self.windowed_labels = (tuple(sorted(
+            set(self.label_names) | set(constraint.min_per_label or {})))
+            if self.labels is not None else None)
         # Dense powered-distance block X x F, the hot lookup everywhere.
         self.pow_xf = space.powered_rows(self.X, self.F)
         self.pow_xf.flags.writeable = False
@@ -264,51 +298,28 @@ def check(inst: ClusteringInstance, clusters: Sequence[Iterable[int]],
     spec = inst.constraint
     if spec.uses_labels and inst.labels is None:
         raise ValueError("labelled constraint on an unlabelled instance")
-    sizes = _cluster_sizes(clusters)
-
-    if spec.kind == "unconstrained":
-        return True
-    if spec.kind == "size_bounds":
-        return all(r <= sz <= u for r, u, sz in zip(spec.r, spec.l, sizes))
-    if spec.kind == "capacitated":
-        return all(sz <= inst.capacity_of[f] for sz, f in zip(sizes, centers))
-    if spec.kind == "label_bounds":
-        per_cluster = [_label_counts(inst, c) for c in clusters]
-        if spec.fractional:
-            alpha = spec.alpha or {}
-            beta = spec.beta or {}
-            for counts, sz in zip(per_cluster, sizes):
-                for lab in inst.label_names:
-                    cnt = counts.get(lab, 0)
-                    a = alpha.get(lab, Fraction(0))
-                    b = beta.get(lab, Fraction(1))
-                    # alpha * sz <= cnt <= beta * sz, exactly in integers
-                    if a.numerator * sz > cnt * a.denominator:
-                        return False
-                    if b.numerator * sz < cnt * b.denominator:
-                        return False
-            return True
-        lo = spec.min_per_label or {}
-        hi = spec.max_per_label or {}
-        for counts in per_cluster:
-            for lab, need in lo.items():
-                if counts.get(lab, 0) < need:
-                    return False
-            for lab, cap in hi.items():
-                if counts.get(lab, 0) > cap:
-                    return False
-        return True
     if spec.kind == "outlier_label_quota":
         clustered = set()
         for c in clusters:
             clustered.update(c)
         outliers = [x for x in inst.X if x not in clustered]
         counts = _label_counts(inst, outliers)
-        for lab in inst.label_names:
-            if counts.get(lab, 0) != spec.quota.get(lab, 0):
-                return False
-        return True
-    raise AssertionError(spec.kind)
+        return all(counts.get(lab, 0) == spec.quota.get(lab, 0)
+                   for lab in inst.label_names)
+    sizes = _cluster_sizes(clusters)
+    # lazy, so that kinds which ignore centers never look them up
+    windows = spec.size_windows(inst.fpos[f] for f in centers)
+    if windows is not None and not all(
+            lo <= sz <= hi for lo, hi, sz in zip(*windows, sizes)):
+        return False
+    if spec.kind == "label_bounds":
+        for c, sz in zip(clusters, sizes):
+            counts = _label_counts(inst, c)
+            for lab in inst.windowed_labels:
+                lo, hi = spec.label_window(lab, sz)
+                if not lo <= counts.get(lab, 0) <= hi:
+                    return False
+    return True
 
 
 def cost(inst: ClusteringInstance, clusters: Sequence[Iterable[int]],
@@ -460,8 +471,8 @@ def constraint_to_dict(spec: ConstraintSpec) -> dict[str, Any]:
         out["s"] = list(spec.s)
     elif spec.kind == "label_bounds":
         if spec.fractional:
-            out["alpha"] = {k: str(v) for k, v in spec.alpha.items()}
-            out["beta"] = {k: str(v) for k, v in spec.beta.items()}
+            out["alpha"] = {k: str(v) for k, v in (spec.alpha or {}).items()}
+            out["beta"] = {k: str(v) for k, v in (spec.beta or {}).items()}
         else:
             out["min_per_label"] = dict(spec.min_per_label or {})
             out["max_per_label"] = dict(spec.max_per_label or {})

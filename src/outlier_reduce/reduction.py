@@ -179,12 +179,13 @@ def enumerate_valid_tuples(residual: int, slots: int,
 class _Prepared:
     """Pair-independent state of one run, built once before the pairs.
 
-    The X x anchors block is read once, and each anchor's clients (per
-    label when labelled) are sorted once by (weight, position). A pair's
-    matching problem takes, per order, the first entries outside Y; that is
-    the left side ``prune_left`` keeps on the pair's full problem (X minus Y
-    against the anchors), because removing Y keeps the clients in X order.
-    Residuals are passed to the solver by their positions in X.
+    The X x anchors block is taken once from the instance's X x F block,
+    and each anchor's clients (per label when labelled) are sorted once by
+    (weight, position). A pair's matching problem takes, per order, the
+    first entries outside Y; that is the left side ``prune_left`` keeps on
+    the pair's full problem (X minus Y against the anchors), because
+    removing Y keeps the clients in X order. Residuals are passed to the
+    solver by their positions in X.
     """
 
     def __init__(self, inst: ClusteringInstance, anchors: AnchorSet,
@@ -192,7 +193,7 @@ class _Prepared:
         self.inst = inst
         self.right = anchors.centers
         self.labels = inst.labels if labelled else None
-        self.weights = inst.space.powered_rows(inst.X, self.right)
+        self.weights = inst.pow_xf[:, [inst.fpos[f] for f in self.right]]
         self.orders = nearest_orders(self.weights, self.labels)
 
     def matching_problem(self, Y: tuple[int, ...],

@@ -16,6 +16,7 @@ import numpy as np
 
 from .baseline import AnchorSet
 from .instance import ClusteringInstance
+from .solvers import _proportional_draws
 
 __all__ = ["SamplePool", "dz_sample", "exhaustive_pool", "sample_size"]
 
@@ -56,16 +57,8 @@ def dz_sample(inst: ClusteringInstance, anchors: AnchorSet, count: int,
         raise ValueError("count must be >= 1")
     if not inst.X:
         raise ValueError("cannot sample from an empty client set")
-    mass = inst.space.powered_rows(inst.X, sorted(anchors.centers)).min(axis=1)
-    total = float(mass.sum())
-    rng = np.random.default_rng(rng_seed)
-    n = len(inst.X)
-    if total <= 0.0:
-        idx = rng.integers(0, n, size=count)
-    else:
-        cum = np.cumsum(mass)
-        r = rng.random(count) * total
-        idx = np.minimum(np.searchsorted(cum, r, side="right"), n - 1)
+    mass = inst.pow_xf[:, [inst.fpos[f] for f in anchors.centers]].min(axis=1)
+    idx = _proportional_draws(mass, count, np.random.default_rng(rng_seed))
     draws = tuple(inst.X[i] for i in idx)
     return SamplePool(draws=draws, distinct=tuple(sorted(set(draws))),
                       mode="random")

@@ -1,26 +1,31 @@
 """Outlier-free constrained solvers: exact enumeration and local search.
 
 For a fixed center tuple, the optimal feasible assignment of the remaining
-points is a transportation problem. Every integral one is a rectangular
-linear sum assignment on expanded center slots (``_slot_assign``; mandatory
-slots enforce lower bounds via penalized dummy rows), integral label
-windows as one per label. Fractional fairness windows fix the cluster
-sizes, which nests per-label windows inside each cluster; they alone run
-on the min-cost-flow engine, per cluster-size vector in exact rational
-arithmetic. ``solve_exact`` wraps the assignment in an enumeration over
-center subsets (ordered tuples when per-cluster bounds make clusters
-distinguishable) and is guarded by a work budget. The tuples come from a
-cached read-only table, and one numpy pass per call scores every tuple's
-nearest-center cost, which is the unconstrained kinds' assignment cost and
-a lower bound for the constrained ones; only tuples whose bound beats the
-incumbent reach the assignment engines. ``solve_local_search`` swaps
-single centers greedily and accepts only strict improvements. It scores
-each sweep's swaps with the same numpy pass and solves the assignment
-only for swaps whose bound, shrunk by a relative ``4·n·eps`` for float
-summation error, still beats the acceptance threshold; the others could
-not be accepted, so the result is the one a full sweep gives. The
-engines return assignments, and both solvers build clusters for their
-result only.
+points is a transportation problem. The engines take the centers as
+facility columns and read the count rules only through the constraint's
+``size_windows`` and ``label_window`` and the instance's
+``windowed_labels``, the same rules ``check`` reads. Every integral
+problem is a rectangular linear sum assignment on expanded center slots
+(``_slot_assign``; mandatory slots enforce lower bounds via penalized
+dummy rows): capacities and size bounds as one, integral label windows as
+one per windowed label, so a minimum that a label's clients cannot fill,
+also for a label no client carries, is infeasible by the slot count
+alone. Fractional fairness windows fix the cluster sizes, which nests
+per-label windows inside each cluster; they alone run on the
+min-cost-flow engine, once per cluster-size vector. ``solve_exact`` wraps
+the assignment in an enumeration over center subsets (ordered tuples when
+per-cluster bounds make clusters distinguishable) and is guarded by a
+work budget. The tuples come from a cached read-only table, and one numpy
+pass scores every tuple's nearest-center cost, which is the unconstrained
+kinds' assignment cost and a lower bound for the constrained ones; only
+tuples whose bound beats the incumbent reach the assignment engines.
+``solve_local_search`` swaps single centers greedily and accepts only
+strict improvements. It scores each sweep's swaps with the same numpy
+pass and solves the assignment only for swaps whose bound, shrunk by a
+relative ``4·n·eps`` for float summation error, still beats the
+acceptance threshold; the others could not be accepted, so the result is
+the one a full sweep gives. The engines return assignments, and both
+solvers build clusters for their result only.
 
 An ``OutlierFreeProblem`` carries its residual both as refs (``X_prime``)
 and as their positions in the parent's X (``rows``), which the reduction
@@ -37,7 +42,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,16 +161,9 @@ def _slot_assign(W, lower, upper):
     return [col_center[c] for c in cols[:n].tolist()], cost
 
 
-def _ceil_frac(frac: Fraction, scale: int) -> int:
-    return -((-frac.numerator * scale) // frac.denominator)
-
-
-def _floor_frac(frac: Fraction, scale: int) -> int:
-    return (frac.numerator * scale) // frac.denominator
-
-
-def _label_window_flow(problem, centers, W, windows, sizes):
-    """Min-cost assignment with per-(cluster, label) count windows.
+def _label_window_flow(problem, k, W, windows, sizes):
+    """Min-cost assignment to k centers with per-(cluster, label) count
+    windows over the windowed labels.
 
     windows[(i, lab)] = (lo, hi); sizes[i] = (lo, hi) window on |X_i|.
     Returns (assign, cost) or None. Only fractional fairness windows,
@@ -174,8 +171,7 @@ def _label_window_flow(problem, centers, W, windows, sizes):
     """
     inst = problem.inst
     n = problem.n
-    k = len(centers)
-    labels = inst.label_names
+    labels = inst.windowed_labels
     lab_index = {lab: t for t, lab in enumerate(labels)}
     # node ids: points, then (center, label) pairs, then centers, src, sink
     pt0 = 0
@@ -211,23 +207,17 @@ def _label_window_flow(problem, centers, W, windows, sizes):
 
 def _assign_label_windows(problem, W):
     """Integral label windows: cluster sizes are free, so each label's
-    window binds only its own points, one slot assignment per label.
-    A positive minimum for a label no client carries, which ``check``
-    enforces, makes every assignment infeasible."""
-    spec = problem.inst.constraint
-    lo_map = spec.min_per_label or {}
-    hi_map = spec.max_per_label or {}
-    if any(need > 0 and lab not in problem.inst.label_names
-           for lab, need in lo_map.items()):
-        return None
+    window binds only its own points, one slot assignment per windowed
+    label."""
+    inst = problem.inst
     n, k = W.shape
-    labels = [problem.inst.label_of[x] for x in problem.X_prime]
+    labels = [inst.label_of[x] for x in problem.X_prime]
     assign = [0] * n
     cost = 0.0
-    for lab in problem.inst.label_names:
+    for lab in inst.windowed_labels:
         rows = [u for u in range(n) if labels[u] == lab]
-        res = _slot_assign(W[rows], [lo_map.get(lab, 0)] * k,
-                           [hi_map.get(lab, n)] * k)
+        lo, hi = inst.constraint.label_window(lab, n)
+        res = _slot_assign(W[rows], [lo] * k, [hi] * k)
         if res is None:
             return None
         for u, i in zip(rows, res[0]):
@@ -236,31 +226,26 @@ def _assign_label_windows(problem, W):
     return assign, cost
 
 
-def _assign_fractional(problem, centers, W):
+def _assign_fractional(problem, W):
     """Fractional windows depend on the cluster size, so enumerate exact
     cluster-size vectors and take the best feasible flow."""
-    spec = problem.inst.constraint
-    n = problem.n
-    k = len(centers)
+    inst = problem.inst
+    n, k = W.shape
     num_vectors = math.comb(n + k - 1, k - 1)
     if num_vectors * max(n, 1) > FRACTIONAL_SIZE_VECTOR_BUDGET:
         raise ExactBudgetExceeded(
             f"{num_vectors} cluster-size vectors exceed the fractional "
-            "fairness budget; use the local-search solver")
-    labels = problem.inst.label_names
-    alpha = spec.alpha or {}
-    beta = spec.beta or {}
+            "fairness budget")
+    labels = inst.windowed_labels
 
-    def size_windows(sz):
+    def count_windows(sz):
         """Per-label count windows of a cluster of size sz, or None."""
-        win = {lab: (_ceil_frac(alpha.get(lab, Fraction(0)), sz),
-                     min(_floor_frac(beta.get(lab, Fraction(1)), sz), sz))
-               for lab in labels}
+        win = {lab: inst.constraint.label_window(lab, sz) for lab in labels}
         lo_sum, hi_sum = (sum(ends) for ends in zip(*win.values()))
         feasible = all(lo <= hi for lo, hi in win.values())
         return win if feasible and lo_sum <= sz <= hi_sum else None
 
-    per_size = [size_windows(sz) for sz in range(n + 1)]
+    per_size = [count_windows(sz) for sz in range(n + 1)]
     best = None
     for sizes_vec in _compositions(n, k):
         if any(per_size[sz] is None for sz in sizes_vec):
@@ -268,44 +253,40 @@ def _assign_fractional(problem, centers, W):
         windows = {(i, lab): per_size[sz][lab]
                    for i, sz in enumerate(sizes_vec) for lab in labels}
         sizes = {i: (sz, sz) for i, sz in enumerate(sizes_vec)}
-        res = _label_window_flow(problem, centers, W, windows, sizes)
+        res = _label_window_flow(problem, k, W, windows, sizes)
         if res is not None and (best is None or res[1] < best[1] - IMPROVE_ATOL):
             best = res
     return best
 
 
-def _assignment(problem: OutlierFreeProblem, centers: tuple[int, ...],
-                W: np.ndarray):
+def _assignment(problem: OutlierFreeProblem, cols, W: np.ndarray):
     """Dispatch on constraint kind; W is the n' x k powered-cost matrix for
-    exactly these centers (columns aligned with the center tuple).
+    the centers at facility columns ``cols`` (columns aligned with them).
 
     Returns (assign, cost), assign[u] being the center position of
     ``X_prime[u]``, or None when no feasible assignment exists.
     """
-    spec = problem.inst.constraint
-    kind = spec.kind
-    if kind == "unconstrained":
-        return _assign_unconstrained(W)
-    if kind == "outlier_label_quota":
-        assign, cost = _assign_unconstrained(W)
-        clusters = _clusters_from_assignment(problem, assign, len(centers))
-        return (assign, cost) if check(problem.inst, clusters, centers) else None
-    if kind == "capacitated":
-        caps = [problem.inst.capacity_of[f] for f in centers]
-        return _slot_assign(W, [0] * len(centers), caps)
-    if kind == "size_bounds":
-        return _slot_assign(W, spec.r, spec.l)
-    if kind == "label_bounds" and spec.fractional:
-        return _assign_fractional(problem, centers, W)
-    if kind == "label_bounds":
-        return _assign_label_windows(problem, W)
-    raise AssertionError(kind)
+    inst = problem.inst
+    spec = inst.constraint
+    if spec.kind == "label_bounds":
+        return (_assign_fractional(problem, W) if spec.fractional
+                else _assign_label_windows(problem, W))
+    windows = spec.size_windows(cols)
+    if windows is not None:
+        return _slot_assign(W, *windows)
+    res = _assign_unconstrained(W)
+    if spec.kind == "outlier_label_quota":
+        clusters = _clusters_from_assignment(problem, res[0], len(cols))
+        if not check(inst, clusters, tuple(inst.F[j] for j in cols)):
+            return None
+    return res
 
 
 def _assign_with_matrix(problem: OutlierFreeProblem, centers: tuple[int, ...],
                         W: np.ndarray):
-    """``_assignment`` as (clusters, cost), or None."""
-    res = _assignment(problem, centers, W)
+    """``_assignment`` for the centers with these refs, as (clusters, cost),
+    or None."""
+    res = _assignment(problem, [problem.inst.fpos[f] for f in centers], W)
     if res is None:
         return None
     return _clusters_from_assignment(problem, res[0], len(centers)), res[1]
@@ -320,8 +301,7 @@ def assign_given_centers(problem: OutlierFreeProblem,
     for f in centers:
         if f not in problem.inst.fpos:
             raise ValueError(f"center {f} is not a facility")
-    fcols = [problem.inst.fpos[f] for f in centers]
-    W = problem.weight_matrix()[:, fcols]
+    W = problem.weight_matrix()[:, [problem.inst.fpos[f] for f in centers]]
     return _assign_with_matrix(problem, centers, W)
 
 
@@ -381,6 +361,19 @@ def _swap_trials(cols: list[int], nf: int) -> np.ndarray:
     return trials
 
 
+def _proportional_draws(mass: np.ndarray, count: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """``count`` positions of ``mass`` drawn with replacement, each with
+    probability proportional to its entry; uniformly when every entry is
+    0. Zero-mass positions are otherwise never drawn."""
+    n = len(mass)
+    total = float(mass.sum())
+    if total <= 0.0:
+        return rng.integers(0, n, size=count)
+    r = rng.random(count) * total
+    return np.minimum(np.searchsorted(np.cumsum(mass), r, side="right"), n - 1)
+
+
 def _dz_seed(W: np.ndarray, first: int, count: int,
              rng: np.random.Generator) -> list[int]:
     """Grow ``[first]`` to ``count`` distinct columns of W (clients x
@@ -388,17 +381,10 @@ def _dz_seed(W: np.ndarray, first: int, count: int,
     to the nearest chosen column (uniformly when every such cost is 0),
     then add the column nearest to that client that is not chosen yet,
     ties to the lowest column."""
-    n, nf = W.shape
+    nf = W.shape[1]
     chosen = [first]
     while len(chosen) < count:
-        mass = W[:, chosen].min(axis=1)
-        total = float(mass.sum())
-        if total <= 0.0:
-            x = int(rng.integers(0, n))
-        else:
-            r = rng.random() * total
-            x = min(int(np.searchsorted(np.cumsum(mass), r, side="right")),
-                    n - 1)
+        x = int(_proportional_draws(W[:, chosen].min(axis=1), 1, rng)[0])
         order = np.lexsort((np.arange(nf), W[x, :]))
         chosen.append(next(int(f) for f in order if int(f) not in chosen))
     return chosen
@@ -410,9 +396,9 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
 
     Enumerates unordered k-subsets of F, or ordered k-tuples when
     per-cluster bounds make clusters distinguishable, from the cached
-    tuple table. Each tuple's nearest-center cost is computed in blocks of
-    one numpy pass; the scan then visits the tuples in order and skips any
-    whose cost is not below the incumbent by ``IMPROVE_ATOL``. For the
+    tuple table. One ``_tuple_bounds`` call computes every tuple's
+    nearest-center cost; the scan then visits the tuples in order and skips
+    any whose cost is not below the incumbent by ``IMPROVE_ATOL``. For the
     ``unconstrained`` kind that cost is the answer; the other kinds solve
     their assignment for every tuple that survives. Clusters are built
     for the winner only. Refuses instances whose enumeration would exceed
@@ -433,26 +419,22 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
     WT = np.ascontiguousarray(W_all.T)
     tuples = _center_tuples(nf, k, ordered)
     bound_only = inst.constraint.kind == "unconstrained"
-    block = max(1, BOUND_BLOCK_ELEMENTS // max(problem.n, 1))
     best_cost = None
     best_t = None
     best_assign = None
-    for lo in range(0, num_tuples, block):
-        bounds = _tuple_bounds(WT, tuples[lo:lo + block]).tolist()
-        for t, cost in enumerate(bounds, lo):
+    for t, cost in enumerate(_tuple_bounds(WT, tuples).tolist()):
+        if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
+            continue  # the unconstrained assignment already bounds this tuple
+        if not bound_only:
+            cols = tuples[t]
+            res = _assignment(problem, cols, W_all[:, cols])
+            if res is None:
+                continue
+            assign, cost = res
             if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
-                continue  # the unconstrained assignment already bounds this tuple
-            if not bound_only:
-                cols = tuples[t]
-                res = _assignment(problem, tuple(inst.F[j] for j in cols),
-                                  W_all[:, cols])
-                if res is None:
-                    continue
-                assign, cost = res
-                if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
-                    continue
-                best_assign = assign
-            best_cost, best_t = cost, t
+                continue
+            best_assign = assign
+        best_cost, best_t = cost, t
     if best_cost is None:
         return None
     cols = tuples[best_t]
@@ -490,8 +472,7 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
             if problem.n else list(range(k)))
 
     def evaluate(cs: list[int]):
-        return _assignment(problem, tuple(inst.F[j] for j in cs),
-                           W_all[:, cs])
+        return _assignment(problem, cs, W_all[:, cs])
 
     res = evaluate(cols)
     if res is None:

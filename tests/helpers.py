@@ -14,6 +14,10 @@ which solved or scored every swap one at a time; they check the
 bound-scored sweeps bitwise. ``reference_powered_table`` is the full
 n x n table a metric space once precomputed at construction; it checks
 the blocks that spaces now compute on demand, bitwise.
+``reference_check`` is the earlier feasibility predicate, which compared
+fractional windows by cross-multiplication and branched on each kind
+itself; it checks that ``check``, now reading the constraint's count
+windows, accepts the same clusterings.
 """
 
 from __future__ import annotations
@@ -81,6 +85,69 @@ def reference_powered_table(space) -> np.ndarray:
     else:
         dist = space.matrix
     return dist if space.z == 1 else dist ** 2
+
+
+def _reference_label_counts(inst: ClusteringInstance, points) -> dict:
+    counts: dict[str, int] = {}
+    for x in points:
+        lab = inst.label_of[x]
+        counts[lab] = counts.get(lab, 0) + 1
+    return counts
+
+
+def reference_check(inst: ClusteringInstance, clusters, centers) -> bool:
+    """The earlier ``check``, with capacities read per facility column."""
+    if len(clusters) != inst.k or len(centers) != inst.k:
+        raise ValueError(f"expected {inst.k} clusters and centers")
+    spec = inst.constraint
+    if spec.uses_labels and inst.labels is None:
+        raise ValueError("labelled constraint on an unlabelled instance")
+    sizes = [len(c) if isinstance(c, (set, frozenset)) else len(set(c))
+             for c in clusters]
+
+    if spec.kind == "unconstrained":
+        return True
+    if spec.kind == "size_bounds":
+        return all(r <= sz <= u for r, u, sz in zip(spec.r, spec.l, sizes))
+    if spec.kind == "capacitated":
+        return all(sz <= spec.s[inst.fpos[f]] for sz, f in zip(sizes, centers))
+    if spec.kind == "label_bounds":
+        per_cluster = [_reference_label_counts(inst, c) for c in clusters]
+        if spec.fractional:
+            alpha = spec.alpha or {}
+            beta = spec.beta or {}
+            for counts, sz in zip(per_cluster, sizes):
+                for lab in inst.label_names:
+                    cnt = counts.get(lab, 0)
+                    a = alpha.get(lab, Fraction(0))
+                    b = beta.get(lab, Fraction(1))
+                    # alpha * sz <= cnt <= beta * sz, exactly in integers
+                    if a.numerator * sz > cnt * a.denominator:
+                        return False
+                    if b.numerator * sz < cnt * b.denominator:
+                        return False
+            return True
+        lo = spec.min_per_label or {}
+        hi = spec.max_per_label or {}
+        for counts in per_cluster:
+            for lab, need in lo.items():
+                if counts.get(lab, 0) < need:
+                    return False
+            for lab, cap in hi.items():
+                if counts.get(lab, 0) > cap:
+                    return False
+        return True
+    if spec.kind == "outlier_label_quota":
+        clustered = set()
+        for c in clusters:
+            clustered.update(c)
+        outliers = [x for x in inst.X if x not in clustered]
+        counts = _reference_label_counts(inst, outliers)
+        for lab in inst.label_names:
+            if counts.get(lab, 0) != spec.quota.get(lab, 0):
+                return False
+        return True
+    raise AssertionError(spec.kind)
 
 
 def random_bmatching_problem(rng, labelled=False, max_left=8, max_right=3,
@@ -236,7 +303,7 @@ def brute_assignment(inst: ClusteringInstance, x_prime, centers):
             if not quota_ok:
                 return None
     elif spec.kind == "capacitated":
-        caps = np.array([inst.capacity_of[f] for f in centers])
+        caps = np.array([inst.constraint.s[inst.fpos[f]] for f in centers])
         feasible = (counts <= caps).all(axis=1)
     elif spec.kind == "size_bounds":
         r = np.array(spec.r)

@@ -284,3 +284,39 @@ def test_absent_label_minimum_is_infeasible(tmp_path):
                 "--solver", "local-search"]) == 2
     assert run(["oracle", "--input", path, "--out", out]) == 2
     assert not out.exists()
+
+
+def test_fractional_budget_exits_3_without_advice(tmp_path, caplog):
+    # 79 residual clients over k = 3 clusters give C(81, 2) = 3240 size
+    # vectors, past the fractional budget; local search shares the engine,
+    # so the message must not send the user there
+    path = tmp_path / "frac.json"
+    points = [[float(i)] for i in range(80)]
+    path.write_text(json.dumps({
+        "metric": {"kind": "euclidean", "dim": 1}, "z": 1,
+        "points": points, "facilities": points[::10], "k": 3, "m": 1,
+        "labels": ["a" if i % 3 else "b" for i in range(80)],
+        "constraint": {"kind": "label_bounds", "alpha": {"b": "1/5"},
+                       "beta": {"b": "1/2"}},
+    }))
+    for solver in ("exact", "local-search"):
+        caplog.clear()
+        assert run(["solve", "--input", path, "--solver", solver,
+                    "--exhaustive-sample"]) == 3
+        assert ("3240 cluster-size vectors exceed the fractional fairness "
+                "budget") in caplog.text
+        assert "local-search" not in caplog.text
+
+
+def test_report_stage_times_cover_every_trial(tmp_path):
+    inst = tmp_path / "inst.json"
+    report = tmp_path / "report.json"
+    assert run(["gen", "--out", inst, "--n", 14, "--k", 2, "--m", 2,
+                "--seed", 1, "--constraint", "capacitated"]) == 0
+    assert run(["solve", "--input", inst, "--out", tmp_path / "sol.json",
+                "--solver", "local-search", "--trials", 3,
+                "--report", report]) == 0
+    times = json.loads(report.read_text())["stage_times"]
+    total = times.pop("total")
+    assert set(times) == {"baseline", "sampling", "matching", "solver"}
+    assert total / 2 <= sum(times.values()) <= total

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outlier_reduce.gen import GeneratorConfig, generate_instance_dict
-from outlier_reduce.instance import (ConstraintSpec, Solution, check, cost,
+from outlier_reduce.instance import (ClusteringInstance, ConstraintSpec,
+                                     Solution, check, cost,
                                      instance_from_dict, instance_to_dict,
                                      validate_solution)
+from outlier_reduce.metric import euclidean_space
 
-from helpers import fref_of, line_instance, ref_of
+from helpers import fref_of, line_instance, ref_of, reference_check
 
 
 def refs(inst, *values):
@@ -260,3 +263,88 @@ def test_check_depends_only_on_cardinalities(data):
         c1 = (c1 - {x}) | {y}
         c2 = (c2 - {y}) | {x}
         assert check(inst, [c1, c2], centers) == before
+
+
+def random_spec(kind, rng, k, nf):
+    """A random constraint of one kind over labels a, b (present) and z
+    (absent): absent-label minima and maxima, fractional maps that omit
+    labels, the alpha = 0 and beta = 1 edges, and quotas."""
+    def frac():
+        return Fraction(int(rng.integers(0, 4)), int(rng.integers(1, 4)))
+
+    def maybe(labs, draw):
+        return {lab: draw() for lab in labs if rng.random() < 0.6}
+
+    if kind == "unconstrained":
+        return ConstraintSpec(kind)
+    if kind == "size_bounds":
+        r = tuple(int(v) for v in rng.integers(0, 3, size=k))
+        return ConstraintSpec(kind, r=r, l=tuple(
+            v + int(rng.integers(0, 4)) for v in r))
+    if kind == "capacitated":
+        return ConstraintSpec(kind, s=tuple(
+            int(v) for v in rng.integers(0, 5, size=nf)))
+    if kind == "integral":
+        return ConstraintSpec(
+            "label_bounds",
+            min_per_label=maybe("abz", lambda: int(rng.integers(0, 2))),
+            max_per_label=maybe("abz", lambda: int(rng.integers(0, 4))))
+    if kind == "fractional":
+        alpha, beta = {}, {}
+        for lab in "abz":
+            a, b = sorted((min(frac(), Fraction(1)), min(frac(), Fraction(1))))
+            if rng.random() < 0.6:
+                alpha[lab] = a
+            if rng.random() < 0.6:
+                beta[lab] = b
+        # alpha only, beta only, or both maps, as a spec built in code may be
+        shape = int(rng.integers(0, 3))
+        if shape == 0:
+            return ConstraintSpec("label_bounds", alpha=alpha)
+        if shape == 1:
+            return ConstraintSpec("label_bounds", beta=beta)
+        return ConstraintSpec("label_bounds", alpha=alpha, beta=beta)
+    return ConstraintSpec("outlier_label_quota",
+                          quota=maybe("abz", lambda: int(rng.integers(0, 3))))
+
+
+def test_check_agrees_with_reference_on_every_kind():
+    rng = np.random.default_rng(31)
+    kinds = ("unconstrained", "size_bounds", "capacitated", "integral",
+             "fractional", "outlier_label_quota")
+    outcomes = {kind: set() for kind in kinds}
+    for trial in range(600):
+        kind = kinds[trial % len(kinds)]
+        n, k = int(rng.integers(3, 8)), int(rng.integers(1, 3))
+        space = euclidean_space([[float(v)] for v in range(n)], 1, 1)
+        X = list(range(n))
+        F = sorted(rng.choice(n, size=int(rng.integers(k, n + 1)),
+                              replace=False).tolist())
+        spec = random_spec(kind, rng, k, len(F))
+        labels = ([("a", "b")[int(v)] for v in rng.integers(0, 2, size=n)]
+                  if spec.uses_labels else None)
+        inst = ClusteringInstance(space, X, F, k, 2, labels, spec)
+        for _ in range(5):
+            where = rng.integers(-1, k, size=n)  # -1 marks an outlier
+            members = [[x for x in X if where[x] == i] for i in range(k)]
+            centers = rng.choice(F, size=k).tolist()
+            if kind != "capacitated" and rng.random() < 0.3:
+                centers[0] = n + 5  # not a facility; the kind ignores it
+            want = reference_check(inst, [frozenset(c) for c in members],
+                                   centers)
+            outcomes[kind].add(want)
+            assert check(inst, [frozenset(c) for c in members],
+                         centers) == want
+            shuffled = [rng.permutation(c).tolist() for c in members]
+            assert check(inst, shuffled, centers) == want
+    assert all(seen == {True, False} for kind, seen in outcomes.items()
+               if kind != "unconstrained"), outcomes
+
+
+def test_check_capacitated_non_facility_center_raises():
+    inst = line_instance([0, 1, 2], fs=[0, 2], k=1,
+                         constraint={"kind": "capacitated", "s": [3, 3]})
+    for predicate in (check, reference_check):
+        with pytest.raises(KeyError):
+            predicate(inst, [frozenset(inst.X)], [ref_of(inst, 1)])
+

@@ -1,4 +1,6 @@
 import itertools
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outlier_reduce import solvers
-from outlier_reduce.instance import (check, instance_from_dict,
-                                     validate_solution, Solution)
+from outlier_reduce.instance import (ClusteringInstance, ConstraintSpec,
+                                     check, instance_from_dict,
+                                     instance_to_dict, validate_solution,
+                                     Solution)
 from outlier_reduce.solvers import (IMPROVE_ATOL, ExactBudgetExceeded,
                                     OutlierFreeProblem, SolverResult,
                                     _assign_with_matrix, assign_given_centers,
@@ -334,7 +338,7 @@ def flow_label_windows(problem, centers, W):
     windows = {(i, lab): ((spec.min_per_label or {}).get(lab, 0),
                           min((spec.max_per_label or {}).get(lab, n), n))
                for i in range(k) for lab in problem.inst.label_names}
-    return solvers._label_window_flow(problem, centers, W, windows,
+    return solvers._label_window_flow(problem, k, W, windows,
                                       {i: (0, n) for i in range(k)})
 
 
@@ -427,6 +431,48 @@ def test_absent_label_minimum_is_infeasible():
                          constraint={"kind": "label_bounds",
                                      "min_per_label": {"b": 0}})
     assert solve_exact(problem_of(zero)) is not None
+
+
+def test_label_windows_engine_walks_absent_labels():
+    # the engine walks the same labels as check(): a minimum of 1 for a
+    # label no client carries leaves too few slots, a minimum of 0 binds
+    # nothing
+    for need, feasible in ((1, False), (0, True)):
+        inst = line_instance([0, 1, 5, 6], fs=[0, 5], k=2, m=1,
+                             labels=["a"] * 4,
+                             constraint={"kind": "label_bounds",
+                                         "min_per_label": {"b": need}})
+        assert inst.windowed_labels == ("a", "b")
+        res = solvers._assign_label_windows(problem_of(inst),
+                                            problem_of(inst).weight_matrix())
+        assert (res is not None) == feasible
+        if feasible:
+            assert res == ([0, 0, 1, 1], 2.0)
+
+
+def test_beta_only_fractional_spec_is_enforced():
+    # beta(a) = 1/2 with no alpha map, built in code: a cluster may hold at
+    # most half "a" clients, so the three "a" of four clients never fit in
+    # one cluster
+    base = line_instance([0, 1, 2, 3], k=1, m=2, labels=["a", "a", "a", "b"],
+                         constraint={"kind": "label_bounds",
+                                     "min_per_label": {}})
+    spec = ConstraintSpec("label_bounds", beta={"a": Fraction(1, 2)})
+    inst = ClusteringInstance(base.space, base.X, base.F, 1, 2, base.labels,
+                              spec)
+    again = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+    assert again.constraint.beta == spec.beta
+    for inst in (inst, again):
+        assert inst.constraint.fractional
+        center = [inst.F[0]]
+        assert not check(inst, [frozenset(inst.X)], center)
+        assert not check(inst, [frozenset(inst.X[1:])], center)
+        assert check(inst, [frozenset(inst.X[2:])], center)
+        for solve in (solve_exact, solve_local_search):
+            assert solve(problem_of(inst)) is None
+            res = solve(OutlierFreeProblem(inst, inst.X[2:]))
+            assert res.cost == pytest.approx(1.0)
+            assert check(inst, res.clusters, res.centers)
 
 
 def local_search_instances(spec, labelled, rng):

@@ -111,7 +111,7 @@ def _random_move(perm: tuple[int, ...], rng: np.random.Generator):
     if n < 2:
         return perm
     i = int(rng.integers(0, n))
-    return _move(perm, i, int(rng.integers(0, n - 1)))
+    return _move(perm, i, int(rng.integers(0, n)))
 
 
 def _ulam_points(cfg: GeneratorConfig, rng: np.random.Generator):
@@ -126,9 +126,8 @@ def _ulam_points(cfg: GeneratorConfig, rng: np.random.Generator):
         if cand not in sites:
             sites.append(cand)
     # the inlier loop below draws from these and would never end on fewer
-    reachable = set(sites) | {_move(s, i, j) for s in sites
-                              for i in range(cfg.perm_len)
-                              for j in range(cfg.perm_len - 1)}
+    reachable = {_move(s, i, j) for s in sites for i in range(cfg.perm_len)
+                 for j in range(cfg.perm_len)}
     if len(reachable) < cfg.n - cfg.m:
         raise ValueError(f"the sites' one-move neighbourhoods hold "
                          f"{len(reachable)} permutations, fewer than n - m = "

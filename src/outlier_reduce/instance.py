@@ -3,14 +3,15 @@
 An instance holds the metric space over the deduplicated ground set
 X ∪ F, the client list X, the candidate-center list F, the cluster count
 k, the outlier budget m, optional per-client labels, and a declarative
-constraint. Feasibility (``check``) depends only on cluster cardinalities,
-per-(cluster, label) counts and center identities; the cost is the sum of
-powered distances from each clustered point to its own cluster's center.
+constraint. Feasibility (``check_counts``) depends only on cluster sizes,
+per-(cluster, label) and outlier label counts and the centers' facility
+columns; ``check`` counts a clustering given as sets of refs. The cost is
+the sum of powered distances from each clustered point to its center.
 
 Every count rule lives in ``ConstraintSpec``: ``size_windows`` gives the
 per-cluster size windows of centers at given facility columns, and
 ``label_window`` the count window of one label in a cluster of a given
-size, fractional bounds rounded inward exactly. ``check`` and the
+size, fractional bounds rounded inward exactly. ``check_counts`` and the
 assignment engines in ``solvers`` read only these two and the instance's
 ``windowed_labels``, so they enforce one and the same predicate.
 
@@ -62,6 +63,7 @@ __all__ = [
     "Solution",
     "ValidationReport",
     "check",
+    "check_counts",
     "cost",
     "validate_solution",
     "load_instance",
@@ -231,8 +233,6 @@ class ClusteringInstance:
                 notes.append("outlier label quotas sum beyond the budget m")
         self.notes = tuple(notes)
 
-        self.label_of = ({x: lab for x, lab in zip(self.X, self.labels)}
-                         if self.labels is not None else None)
         self.label_names = (tuple(sorted(set(self.labels)))
                             if self.labels is not None else None)
         # the labels whose count windows can bind: every label present, and
@@ -240,6 +240,11 @@ class ClusteringInstance:
         self.windowed_labels = (tuple(sorted(
             set(self.label_names) | set(constraint.min_per_label or {})))
             if self.labels is not None else None)
+        # each client's label as its index into (sorted) windowed_labels
+        self.label_codes = None
+        if self.labels is not None:
+            self.label_codes = np.searchsorted(self.windowed_labels, self.labels)
+            self.label_codes.flags.writeable = False
         # Dense powered-distance block X x F, the hot lookup everywhere.
         self.pow_xf = space.powered_rows(self.X, self.F)
         self.pow_xf.flags.writeable = False
@@ -252,9 +257,6 @@ class ClusteringInstance:
     @property
     def n(self) -> int:
         return len(self.X)
-
-    def powered_xf(self, x: int, f: int) -> float:
-        return float(self.pow_xf[self.xpos[x], self.fpos[f]])
 
 
 @dataclass(frozen=True)
@@ -272,54 +274,50 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _cluster_sizes(clusters: Sequence[Iterable[int]]) -> list[int]:
-    return [len(c) if isinstance(c, (set, frozenset)) else len(set(c))
-            for c in clusters]
-
-
-def _label_counts(inst: ClusteringInstance, points: Iterable[int]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for x in points:
-        lab = inst.label_of[x]
-        counts[lab] = counts.get(lab, 0) + 1
-    return counts
-
-
-def check(inst: ClusteringInstance, clusters: Sequence[Iterable[int]],
-          centers: Sequence[int]) -> bool:
-    """Feasibility predicate for a candidate clustering.
-
-    Evaluates the constraint from cluster cardinalities, per-(cluster, label)
-    counts and center identities only. For outlier quotas the outlier set is
-    the complement of the clusters within X.
-    """
-    if len(clusters) != inst.k or len(centers) != inst.k:
-        raise ValueError(f"expected {inst.k} clusters and centers")
+def check_counts(inst: ClusteringInstance, cols: Iterable[int],
+                 sizes: Sequence[int], label_counts=None,
+                 outlier_counts=None) -> bool:
+    """The feasibility predicate, on counts alone: the centers' facility
+    ``cols`` (read by the capacitated kind only) and the k cluster
+    ``sizes``; labelled kinds also read ``label_counts``, clients per
+    (cluster, label), or ``outlier_counts``, outliers per label, with labels
+    indexed like ``inst.windowed_labels``."""
     spec = inst.constraint
-    if spec.uses_labels and inst.labels is None:
-        raise ValueError("labelled constraint on an unlabelled instance")
     if spec.kind == "outlier_label_quota":
-        clustered = set()
-        for c in clusters:
-            clustered.update(c)
-        outliers = [x for x in inst.X if x not in clustered]
-        counts = _label_counts(inst, outliers)
-        return all(counts.get(lab, 0) == spec.quota.get(lab, 0)
-                   for lab in inst.label_names)
-    sizes = _cluster_sizes(clusters)
-    # lazy, so that kinds which ignore centers never look them up
-    windows = spec.size_windows(inst.fpos[f] for f in centers)
+        return all(spec.quota.get(lab, 0) == count for lab, count in
+                   zip(inst.windowed_labels, np.asarray(outlier_counts).tolist()))
+    sizes = np.asarray(sizes).tolist()
+    windows = spec.size_windows(cols)
     if windows is not None and not all(
             lo <= sz <= hi for lo, hi, sz in zip(*windows, sizes)):
         return False
     if spec.kind == "label_bounds":
-        for c, sz in zip(clusters, sizes):
-            counts = _label_counts(inst, c)
-            for lab in inst.windowed_labels:
+        for row, sz in zip(np.asarray(label_counts).tolist(), sizes):
+            for lab, count in zip(inst.windowed_labels, row):
                 lo, hi = spec.label_window(lab, sz)
-                if not lo <= counts.get(lab, 0) <= hi:
+                if not lo <= count <= hi:
                     return False
     return True
+
+
+def check(inst: ClusteringInstance, clusters: Sequence[Iterable[int]],
+          centers: Sequence[int]) -> bool:
+    """``check_counts`` for k collections of client refs and k center refs;
+    the outliers are the clients in no cluster."""
+    if len(clusters) != inst.k or len(centers) != inst.k:
+        raise ValueError(f"expected {inst.k} clusters and centers")
+    members = [set(c) for c in clusters]
+    label_counts = outlier_counts = None
+    if inst.labels is not None:
+        clustered = set().union(*members)
+        *label_counts, outlier_counts = [
+            np.bincount(inst.label_codes[[inst.xpos[x] for x in part]],
+                        minlength=len(inst.windowed_labels))
+            for part in members + [[x for x in inst.X if x not in clustered]]]
+    # lazy, so that kinds which ignore centers never look them up
+    return check_counts(inst, (inst.fpos[f] for f in centers),
+                        [len(c) for c in members], label_counts,
+                        outlier_counts)
 
 
 def cost(inst: ClusteringInstance, clusters: Sequence[Iterable[int]],
@@ -344,13 +342,12 @@ def validate_solution(inst: ClusteringInstance, sol: Solution) -> ValidationRepo
             violations.append(f"overlap: points {sorted(overlap)} appear twice")
         seen |= part
     xset = set(inst.X)
-    if seen != xset:
-        missing = sorted(xset - seen)
-        extra = sorted(seen - xset)
-        if missing:
-            violations.append(f"partition misses points {missing}")
-        if extra:
-            violations.append(f"partition contains foreign points {extra}")
+    missing = sorted(xset - seen)
+    extra = sorted(seen - xset)
+    if missing:
+        violations.append(f"partition misses points {missing}")
+    if extra:
+        violations.append(f"partition contains foreign points {extra}")
     if len(sol.outliers) > inst.m:
         violations.append(
             f"outlier budget: |X_0|={len(sol.outliers)} exceeds m={inst.m}")
@@ -361,6 +358,8 @@ def validate_solution(inst: ClusteringInstance, sol: Solution) -> ValidationRepo
         if f not in inst.fpos:
             violations.append(f"center {f} is not a facility")
             return ValidationReport(False, float("nan"), violations)
+    if extra:  # neither counts nor costs are defined off X
+        return ValidationReport(False, float("nan"), violations)
     if not check(inst, sol.clusters, sol.centers):
         violations.append("check() rejects the clustering")
     recomputed = cost(inst, sol.clusters, sol.centers)

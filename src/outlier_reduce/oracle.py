@@ -48,8 +48,8 @@ def _outlier_sets(inst: ClusteringInstance):
     if spec.kind == "outlier_label_quota":
         # exactly quota[l] outliers of each label
         by_label: dict[str, list[int]] = {}
-        for x in inst.X:
-            by_label.setdefault(inst.label_of[x], []).append(x)
+        for x, lab in zip(inst.X, inst.labels):
+            by_label.setdefault(lab, []).append(x)
         needed = [(lab, cnt) for lab, cnt in sorted(spec.quota.items()) if cnt]
         if sum(cnt for _, cnt in needed) > inst.m:
             return
@@ -78,15 +78,13 @@ def exact_outlier_opt(inst: ClusteringInstance,
     budget.admit(inst)
     best: tuple[float, Solution] | None = None
     for removed in _outlier_sets(inst):
-        removed_set = frozenset(removed)
-        x_prime = tuple(x for x in inst.X if x not in removed_set)
-        result = solve_exact(OutlierFreeProblem(inst, x_prime))
-        if result is None:
-            continue
-        if best is None or result.cost < best[0] - 1e-12:
-            sol = Solution(outliers=removed_set, clusters=result.clusters,
-                           centers=result.centers, cost=result.cost)
-            best = (result.cost, sol)
+        problem = OutlierFreeProblem.without(inst, removed)
+        result = solve_exact(problem)
+        if result is not None and (best is None
+                                   or result.cost < best[0] - 1e-12):
+            best = (result.cost, Solution(
+                frozenset(removed), problem.clusters_of(result.assign),
+                tuple(inst.F[j] for j in result.cols), result.cost))
     if best is None:
         raise ValueError("instance is infeasible for every outlier choice")
     return best

@@ -15,7 +15,10 @@ sorted by (cost, position). A pair's matching then takes the first
 max(m, sum(tau)) entries of each order that are not in Y, the left side
 that pruning the pair's full problem would keep, and its residual reaches
 the solver as positions into X (``OutlierFreeProblem.rows``). The time
-spent preparing counts toward the matching stage.
+spent preparing counts toward the matching stage. A plugin answers in
+positions too: facility columns and an assignment array. The driver
+re-checks its shape, counts and cost on arrays, and builds frozensets of
+refs only for a result that becomes the incumbent.
 
 Points of Y never appear on the matching's left side, so no point is
 removed twice. Duplicate pool draws collapse before subset enumeration;
@@ -44,11 +47,13 @@ from collections.abc import Iterator
 import numpy as np
 
 from .baseline import AnchorSet, solve_unconstrained
-# prune_left is not called here, but it stays importable from this module:
-# bench/tracing.py wraps reduction.prune_left by name
+# prune_left and check are not called here, but they stay importable from
+# this module: bench/tracing.py wraps reduction.prune_left and
+# reduction.check by name
 from .bmatching import (BMatchingInfeasible, BMatchingProblem, nearest_orders,
                         prune_left, select_nearest, solve_bmatching)
-from .instance import ClusteringInstance, Solution, check
+from .instance import ClusteringInstance, Solution, check, check_counts
+from .metric import COST_ATOL
 from .sampling import SamplePool, dz_sample, exhaustive_pool, sample_size
 from .solvers import OutlierFreeProblem, SolverPlugin, _compositions
 
@@ -76,7 +81,7 @@ class ReductionInfeasible(Exception):
 
 
 class PluginContractError(Exception):
-    """A solver plugin returned a clustering that fails its own contract."""
+    """A solver plugin returned a malformed, infeasible or mispriced result."""
 
 
 def default_beta(z: int) -> float:
@@ -184,8 +189,7 @@ class _Prepared:
     (weight, position). A pair's matching problem takes, per order, the
     first entries outside Y; that is the left side ``prune_left`` keeps on
     the pair's full problem (X minus Y against the anchors), because
-    removing Y keeps the clients in X order. Residuals are passed to the
-    solver by their positions in X.
+    removing Y keeps the clients in X order.
     """
 
     def __init__(self, inst: ClusteringInstance, anchors: AnchorSet,
@@ -219,28 +223,35 @@ class _Prepared:
             demands=tau.t, left_labels=tuple(self.labels[u] for u in kept),
             label_demands=label_demands)
 
-    def residual(self, removed: frozenset[int]) -> OutlierFreeProblem:
-        """The outlier-free problem on X minus ``removed``."""
-        inst = self.inst
-        rows = np.delete(np.arange(inst.n), [inst.xpos[x] for x in removed])
-        return OutlierFreeProblem(inst, tuple(inst.x_refs[rows].tolist()),
-                                  rows)
 
-
-def _validate_plugin_output(inst: ClusteringInstance, x_prime: tuple[int, ...],
-                            result) -> None:
-    # X' has distinct members, so sizes summing to |X'| and a union of
-    # |X'| members that contains X' make the clusters a partition of X'
-    clustered = set().union(*result.clusters)
-    if (sum(len(c) for c in result.clusters) != len(x_prime)
-            or len(clustered) != len(x_prime)
-            or not clustered.issuperset(x_prime)):
-        raise PluginContractError(
-            "plugin clustering does not partition the residual point set")
-    if len(result.centers) != inst.k:
-        raise PluginContractError("plugin returned a wrong number of centers")
-    if not check(inst, result.clusters, result.centers):
+def _validate_plugin_output(problem: OutlierFreeProblem, result) -> None:
+    """Raise PluginContractError unless ``result`` maps every residual row
+    to one of k facility columns, passes ``check_counts`` and costs what it
+    reports."""
+    inst, k = problem.inst, problem.inst.k
+    assign = np.asarray(result.assign)
+    cols = np.asarray(result.cols, dtype=np.intp)
+    if (assign.shape != (problem.n,) or cols.shape != (k,)
+            or not np.all((0 <= cols) & (cols < len(inst.F)))
+            or problem.n and (assign.dtype.kind not in "iu"
+                              or not 0 <= assign.min() <= assign.max() < k)):
+        raise PluginContractError("plugin result does not map each residual "
+                                  "point to one of k facility columns")
+    assign = assign.astype(np.intp, copy=False)
+    label_counts = outlier_counts = None
+    if inst.labels is not None:
+        codes, nl = inst.label_codes, len(inst.windowed_labels)
+        label_counts = np.bincount(assign * nl + codes[problem.rows],
+                                   minlength=k * nl).reshape(k, nl)
+        outlier_counts = (np.bincount(codes, minlength=nl)
+                          - label_counts.sum(axis=0))
+    if not check_counts(inst, cols.tolist(), np.bincount(assign, minlength=k),
+                        label_counts, outlier_counts):
         raise PluginContractError("plugin clustering fails check()")
+    cost = float(inst.pow_xf[problem.rows, cols[assign]].sum())
+    if not math.isclose(cost, result.cost, rel_tol=1e-9, abs_tol=COST_ATOL):
+        raise PluginContractError(
+            f"plugin reported cost {result.cost}, its clustering costs {cost}")
 
 
 def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
@@ -249,7 +260,7 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
 
     Raises ReductionInfeasible when no (Y, tau) pair yields a feasible
     matching and solver call, and PluginContractError when the plugin
-    violates its feasibility contract.
+    breaks its contract.
     """
     z = inst.space.z
     m = inst.m
@@ -306,17 +317,17 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
         if removed in solver_cache:
             cost = solver_cache[removed]
         else:
-            problem = prepared.residual(removed)
+            problem = OutlierFreeProblem.without(inst, removed)
             result = plugin.solve(problem, config.baseline_seed)
             cost = None if result is None else result.cost
             if result is not None:
-                _validate_plugin_output(inst, problem.X_prime, result)
+                _validate_plugin_output(problem, result)
                 # a tie keeps the earlier pair: the winner is the first
                 # cheapest pair in index order
                 if best is None or cost < best[0].cost:
-                    best = (Solution(outliers=removed, clusters=result.clusters,
-                                     centers=result.centers, cost=cost),
-                            Y, tau)
+                    best = (Solution(removed, problem.clusters_of(
+                        np.asarray(result.assign)), tuple(
+                            inst.F[j] for j in result.cols), cost), Y, tau)
             solver_cache[removed] = cost
         end = time.perf_counter()
         timings["solver"] += end - ts

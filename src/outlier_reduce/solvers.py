@@ -4,7 +4,7 @@ For a fixed center tuple, the optimal feasible assignment of the remaining
 points is a transportation problem. The engines take the centers as
 facility columns and read the count rules only through the constraint's
 ``size_windows`` and ``label_window`` and the instance's
-``windowed_labels``, the same rules ``check`` reads. Every integral
+``windowed_labels``, the same rules ``check_counts`` reads. Every integral
 problem is a rectangular linear sum assignment on expanded center slots
 (``_slot_assign``; mandatory slots enforce lower bounds via penalized
 dummy rows): capacities and size bounds as one, integral label windows as
@@ -24,13 +24,13 @@ strict improvements. It scores each sweep's swaps with the same numpy
 pass and solves the assignment only for swaps whose bound, shrunk by a
 relative ``4·n·eps`` for float summation error, still beats the
 acceptance threshold; the others could not be accepted, so the result is
-the one a full sweep gives. The engines return assignments, and both
-solvers build clusters for their result only.
+the one a full sweep gives.
 
-An ``OutlierFreeProblem`` carries its residual both as refs (``X_prime``)
-and as their positions in the parent's X (``rows``), which the reduction
-passes and a hand-built problem may omit. The solvers gather their cost
-rows through ``rows``, with no per-point lookups.
+A problem is its residual as positions into the parent's X (``rows``),
+and a ``SolverResult`` is facility columns plus an assignment array over
+those rows; ``OutlierFreeProblem.clusters_of`` builds refs and frozensets
+for the few callers that need them. An outlier quota depends on the
+residual alone, so each call tests it once and then solves unconstrained.
 
 Anything implementing the one-function plugin signature can replace the
 shipped solvers; the reduction driver treats them interchangeably.
@@ -41,14 +41,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .flow import FlowInfeasible, solve_transportation
-from .instance import ClusteringInstance, check
+# check is not called here, but it stays importable from this module:
+# bench/tracing.py wraps solvers.check by name
+from .instance import ClusteringInstance, check, check_counts
 
 __all__ = [
     "OutlierFreeProblem",
@@ -73,38 +75,47 @@ class ExactBudgetExceeded(Exception):
     """The exact solver refused an instance beyond its work bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlierFreeProblem:
-    """Residual clustering problem on X' with the parent's F, k, constraint.
-
-    ``rows[i]`` is the position of ``X_prime[i]`` in ``inst.X``. A caller
-    that knows the positions passes them; otherwise they are looked up.
-    """
+    """Residual clustering problem with the parent's F, k, constraint:
+    ``rows`` is an intp array of distinct positions into ``inst.X``."""
 
     inst: ClusteringInstance
-    X_prime: tuple[int, ...]
-    rows: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.rows is None:
-            xpos = self.inst.xpos
-            object.__setattr__(self, "rows", np.fromiter(
-                (xpos[x] for x in self.X_prime), dtype=np.intp,
-                count=len(self.X_prime)))
+    rows: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.X_prime)
+        return len(self.rows)
+
+    @property
+    def X_prime(self) -> tuple[int, ...]:
+        """The residual's refs, aligned with ``rows``."""
+        return tuple(self.inst.x_refs[self.rows].tolist())
 
     def weight_matrix(self) -> np.ndarray:
-        """Powered distances X' x F, rows aligned with X_prime."""
+        """Powered distances X' x F, rows aligned with ``rows``."""
         return self.inst.pow_xf[self.rows]
 
+    @classmethod
+    def without(cls, inst: ClusteringInstance, removed) -> OutlierFreeProblem:
+        """The problem on the clients of X not in the refs ``removed``."""
+        return cls(inst, np.delete(np.arange(inst.n),
+                                   [inst.xpos[x] for x in removed]))
 
-@dataclass(frozen=True)
+    def clusters_of(self, assign: np.ndarray) -> tuple[frozenset[int], ...]:
+        """The k clusters of refs; row u joins cluster ``assign[u]``."""
+        refs = self.inst.x_refs[self.rows]
+        return tuple(frozenset(refs[assign == i].tolist())
+                     for i in range(self.inst.k))
+
+
+@dataclass(frozen=True, eq=False)
 class SolverResult:
-    clusters: tuple[frozenset[int], ...]
-    centers: tuple[int, ...]
+    """Centers at facility columns ``cols``; ``assign[u]`` is the center
+    position of residual row u; ``cost`` is the clustering's cost."""
+
+    cols: tuple[int, ...]
+    assign: np.ndarray
     cost: float
 
 
@@ -115,20 +126,9 @@ class SolverPlugin:
     exactness: str  # "exact" | "heuristic"
 
 
-def _clusters_from_assignment(problem: OutlierFreeProblem,
-                              assign: list[int], k: int):
-    # a plain loop: numpy selections are no faster at n = 2000 and twice
-    # as slow at n = 30, where local search calls this once per swap trial
-    groups: list[list[int]] = [[] for _ in range(k)]
-    for x, i in zip(problem.X_prime, assign):
-        groups[i].append(x)
-    return tuple(frozenset(g) for g in groups)
-
-
 def _assign_unconstrained(W):
-    cols = W.argmin(axis=1) if W.size else np.zeros(0, dtype=int)
-    cost = float(W[np.arange(W.shape[0]), cols].sum()) if W.size else 0.0
-    return cols.tolist(), cost
+    assign = W.argmin(axis=1)
+    return assign, float(W[np.arange(W.shape[0]), assign].sum())
 
 
 def _slot_assign(W, lower, upper):
@@ -146,7 +146,7 @@ def _slot_assign(W, lower, upper):
     if sum(slots) < n or sum(lower) > n or any(
             lo > sl for lo, sl in zip(lower, slots)):
         return None
-    col_center = [i for i, sl in enumerate(slots) for _ in range(sl)]
+    col_center = np.repeat(np.arange(len(slots)), slots)
     cost_matrix = W[:, col_center]
     if any(lower):
         mandatory = [j < lo for lo, sl in zip(lower, slots) for j in range(sl)]
@@ -158,7 +158,7 @@ def _slot_assign(W, lower, upper):
     if any(lower) and any(mandatory[c] for c in cols[n:].tolist()):
         return None  # a required slot went unfilled
     cost = float(cost_matrix[rows[:n], cols[:n]].sum())
-    return [col_center[c] for c in cols[:n].tolist()], cost
+    return col_center[cols[:n]], cost
 
 
 def _label_window_flow(problem, k, W, windows, sizes):
@@ -172,7 +172,7 @@ def _label_window_flow(problem, k, W, windows, sizes):
     inst = problem.inst
     n = problem.n
     labels = inst.windowed_labels
-    lab_index = {lab: t for t, lab in enumerate(labels)}
+    codes = inst.label_codes[problem.rows].tolist()
     # node ids: points, then (center, label) pairs, then centers, src, sink
     pt0 = 0
     cl0 = n
@@ -181,15 +181,14 @@ def _label_window_flow(problem, k, W, windows, sizes):
     snk = src + 1
     arcs = []
     point_arcs = []
-    for u, x in enumerate(problem.X_prime):
+    for u, t in enumerate(codes):
         arcs.append((src, pt0 + u, 0, 1, 0.0))
-        t = lab_index[inst.label_of[x]]
         for i in range(k):
             point_arcs.append((u, i, len(arcs)))
             arcs.append((pt0 + u, cl0 + i * len(labels) + t, 0, 1,
                          float(W[u, i])))
     for i in range(k):
-        for lab, t in lab_index.items():
+        for t, lab in enumerate(labels):
             lo, hi = windows.get((i, lab), (0, n))
             arcs.append((cl0 + i * len(labels) + t, ct0 + i, lo, hi, 0.0))
         lo, hi = sizes[i]
@@ -198,7 +197,7 @@ def _label_window_flow(problem, k, W, windows, sizes):
         cost, flows = solve_transportation(snk + 1, arcs, src, snk, n)
     except FlowInfeasible:
         return None
-    assign = [0] * n
+    assign = np.zeros(n, dtype=np.intp)
     for u, i, arc_pos in point_arcs:
         if flows[arc_pos] > 0:
             assign[u] = i
@@ -211,17 +210,16 @@ def _assign_label_windows(problem, W):
     label."""
     inst = problem.inst
     n, k = W.shape
-    labels = [inst.label_of[x] for x in problem.X_prime]
-    assign = [0] * n
+    codes = inst.label_codes[problem.rows]
+    assign = np.zeros(n, dtype=np.intp)
     cost = 0.0
-    for lab in inst.windowed_labels:
-        rows = [u for u in range(n) if labels[u] == lab]
+    for t, lab in enumerate(inst.windowed_labels):
+        rows = np.flatnonzero(codes == t)
         lo, hi = inst.constraint.label_window(lab, n)
         res = _slot_assign(W[rows], [lo] * k, [hi] * k)
         if res is None:
             return None
-        for u, i in zip(rows, res[0]):
-            assign[u] = i
+        assign[rows] = res[0]
         cost += res[1]
     return assign, cost
 
@@ -264,32 +262,28 @@ def _assignment(problem: OutlierFreeProblem, cols, W: np.ndarray):
     the centers at facility columns ``cols`` (columns aligned with them).
 
     Returns (assign, cost), assign[u] being the center position of
-    ``X_prime[u]``, or None when no feasible assignment exists.
+    residual row u, or None when no feasible assignment exists. The
+    outlier quota is not tested here (see ``_quota_holds``).
     """
-    inst = problem.inst
-    spec = inst.constraint
+    spec = problem.inst.constraint
     if spec.kind == "label_bounds":
         return (_assign_fractional(problem, W) if spec.fractional
                 else _assign_label_windows(problem, W))
     windows = spec.size_windows(cols)
     if windows is not None:
         return _slot_assign(W, *windows)
-    res = _assign_unconstrained(W)
-    if spec.kind == "outlier_label_quota":
-        clusters = _clusters_from_assignment(problem, res[0], len(cols))
-        if not check(inst, clusters, tuple(inst.F[j] for j in cols)):
-            return None
-    return res
+    return _assign_unconstrained(W)
 
 
-def _assign_with_matrix(problem: OutlierFreeProblem, centers: tuple[int, ...],
-                        W: np.ndarray):
-    """``_assignment`` for the centers with these refs, as (clusters, cost),
-    or None."""
-    res = _assignment(problem, [problem.inst.fpos[f] for f in centers], W)
-    if res is None:
-        return None
-    return _clusters_from_assignment(problem, res[0], len(centers)), res[1]
+def _quota_holds(problem: OutlierFreeProblem) -> bool:
+    """Whether the residual's outliers meet an ``outlier_label_quota``
+    (True for every other kind): the test depends on the residual alone."""
+    inst = problem.inst
+    if inst.constraint.kind != "outlier_label_quota":
+        return True
+    outliers = np.bincount(np.delete(inst.label_codes, problem.rows),
+                           minlength=len(inst.windowed_labels))
+    return check_counts(inst, (), (), outlier_counts=outliers)
 
 
 def assign_given_centers(problem: OutlierFreeProblem,
@@ -301,8 +295,10 @@ def assign_given_centers(problem: OutlierFreeProblem,
     for f in centers:
         if f not in problem.inst.fpos:
             raise ValueError(f"center {f} is not a facility")
-    W = problem.weight_matrix()[:, [problem.inst.fpos[f] for f in centers]]
-    return _assign_with_matrix(problem, centers, W)
+    cols = [problem.inst.fpos[f] for f in centers]
+    res = _quota_holds(problem) and _assignment(
+        problem, cols, problem.weight_matrix()[:, cols])
+    return (problem.clusters_of(res[0]), res[1]) if res else None
 
 
 def _compositions(total: int, parts: int):
@@ -399,14 +395,14 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
     tuple table. One ``_tuple_bounds`` call computes every tuple's
     nearest-center cost; the scan then visits the tuples in order and skips
     any whose cost is not below the incumbent by ``IMPROVE_ATOL``. For the
-    ``unconstrained`` kind that cost is the answer; the other kinds solve
-    their assignment for every tuple that survives. Clusters are built
-    for the winner only. Refuses instances whose enumeration would exceed
-    ``work_budget``.
+    ``unconstrained`` kind, and for an outlier quota that the residual
+    meets, that cost is the answer; the other kinds solve their assignment
+    for every tuple that survives. Refuses instances whose enumeration
+    would exceed ``work_budget``.
     """
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
-    if k > nf:
+    if k > nf or not _quota_holds(problem):
         return None
     ordered = inst.constraint.cluster_indexed
     num_tuples = math.perm(nf, k) if ordered else math.comb(nf, k)
@@ -418,7 +414,7 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
     W_all = problem.weight_matrix()
     WT = np.ascontiguousarray(W_all.T)
     tuples = _center_tuples(nf, k, ordered)
-    bound_only = inst.constraint.kind == "unconstrained"
+    bound_only = inst.constraint.kind in ("unconstrained", "outlier_label_quota")
     best_cost = None
     best_t = None
     best_assign = None
@@ -440,9 +436,7 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
     cols = tuples[best_t]
     if bound_only:
         best_assign, best_cost = _assign_unconstrained(W_all[:, cols])
-    return SolverResult(
-        clusters=_clusters_from_assignment(problem, best_assign, k),
-        centers=tuple(inst.F[j] for j in cols), cost=best_cost)
+    return SolverResult(tuple(cols.tolist()), best_assign, best_cost)
 
 
 def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
@@ -460,11 +454,11 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
     summation error, which the relative slack ``4·n·eps`` covers; a swap
     whose bound already misses the acceptance threshold is skipped
     without solving its assignment, so the result is the one a full sweep
-    gives. Clusters are built for the result only.
+    gives.
     """
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
-    if k > nf:
+    if k > nf or not _quota_holds(problem):
         return None
     rng = np.random.default_rng(rng_seed)
     W_all = problem.weight_matrix()
@@ -504,8 +498,7 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
         if best is None:
             break
         cols, (assign, cost) = trials[best[0]].tolist(), best[1]
-    return SolverResult(clusters=_clusters_from_assignment(problem, assign, k),
-                        centers=tuple(inst.F[j] for j in cols), cost=cost)
+    return SolverResult(tuple(cols), assign, cost)
 
 
 def get_plugin(name: str, *, work_budget: int = DEFAULT_WORK_BUDGET) -> SolverPlugin:

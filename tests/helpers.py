@@ -17,13 +17,16 @@ the blocks that spaces now compute on demand, bitwise.
 ``reference_check`` is the earlier feasibility predicate, which compared
 fractional windows by cross-multiplication and branched on each kind
 itself; it checks that ``check``, now reading the constraint's count
-windows, accepts the same clusterings.
+windows, accepts the same clusterings. ``residual_problem`` builds the
+solver's positional problem from a tuple of refs, as the references and
+tests name residuals.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +51,19 @@ def line_instance(xs, fs=None, *, k=1, m=0, z=1, constraint=None,
     if labels is not None:
         data["labels"] = list(labels)
     return instance_from_dict(data)
+
+
+def label_of(inst: ClusteringInstance) -> dict:
+    """Each client ref's label."""
+    return dict(zip(inst.X, inst.labels))
+
+
+def residual_problem(inst: ClusteringInstance, refs):
+    """The outlier-free problem on the clients ``refs``, in that order."""
+    from outlier_reduce.solvers import OutlierFreeProblem
+
+    return OutlierFreeProblem(inst, np.array([inst.xpos[x] for x in refs],
+                                             dtype=np.intp))
 
 
 def ref_of(inst: ClusteringInstance, value: float) -> int:
@@ -88,9 +104,10 @@ def reference_powered_table(space) -> np.ndarray:
 
 
 def _reference_label_counts(inst: ClusteringInstance, points) -> dict:
+    labels = label_of(inst)
     counts: dict[str, int] = {}
     for x in points:
-        lab = inst.label_of[x]
+        lab = labels[x]
         counts[lab] = counts.get(lab, 0) + 1
     return counts
 
@@ -281,7 +298,9 @@ def brute_assignment(inst: ClusteringInstance, x_prime, centers):
     spec = inst.constraint
     n = len(x_prime)
     k = len(centers)
-    W = np.array([[inst.powered_xf(x, f) for f in centers] for x in x_prime])
+    label_of_x = label_of(inst) if inst.labels is not None else None
+    W = np.array([[inst.pow_xf[inst.xpos[x], inst.fpos[f]] for f in centers]
+                  for x in x_prime])
     if n == 0:
         assigns = np.zeros((1, 0), dtype=int)
     else:
@@ -297,7 +316,8 @@ def brute_assignment(inst: ClusteringInstance, x_prime, centers):
             removed = [x for x in inst.X if x not in set(x_prime)]
             got = {}
             for x in removed:
-                got[inst.label_of[x]] = got.get(inst.label_of[x], 0) + 1
+                lab = label_of_x[x]
+                got[lab] = got.get(lab, 0) + 1
             quota_ok = all(got.get(lab, 0) == spec.quota.get(lab, 0)
                            for lab in inst.label_names)
             if not quota_ok:
@@ -318,7 +338,7 @@ def brute_assignment(inst: ClusteringInstance, x_prime, centers):
             labels |= set(spec.min_per_label or {})
         for lab in sorted(labels):
             pts = [t for t, x in enumerate(x_prime)
-                   if inst.label_of[x] == lab]
+                   if label_of_x[x] == lab]
             lab_counts = np.stack(
                 [(assigns[:, pts] == i).sum(axis=1) for i in range(k)], axis=1)
             if spec.fractional:
@@ -371,7 +391,8 @@ def build_matching_problem(inst: ClusteringInstance, anchors, Y, tau,
                                 weights=weights, demands=tau.t)
     label_demands = tuple(dict(zip(inst.label_names, psi_j))
                           for psi_j in tau.psi)
-    left_labels = tuple(inst.label_of[x] for x in left)
+    labels = label_of(inst)
+    left_labels = tuple(labels[x] for x in left)
     return BMatchingProblem(left=left, right=anchors.centers, weights=weights,
                             demands=tau.t, left_labels=left_labels,
                             label_demands=label_demands)
@@ -395,7 +416,6 @@ def reference_reduction(inst: ClusteringInstance, config, plugin):
                                           enumerate_valid_tuples)
     from outlier_reduce.sampling import (SamplePool, dz_sample,
                                          exhaustive_pool, sample_size)
-    from outlier_reduce.solvers import OutlierFreeProblem
 
     z, m = inst.space.z, inst.m
     eff_eps = effective_epsilon(config.epsilon, z, m,
@@ -430,15 +450,17 @@ def reference_reduction(inst: ClusteringInstance, config, plugin):
             cost = solved[removed]
         else:
             x_prime = tuple(x for x in inst.X if x not in removed)
-            result = plugin.solve(OutlierFreeProblem(inst, x_prime),
-                                  config.baseline_seed)
+            problem = residual_problem(inst, x_prime)
+            result = plugin.solve(problem, config.baseline_seed)
             if result is not None:
-                _validate_plugin_output(inst, x_prime, result)
+                _validate_plugin_output(problem, result)
             cost = solved[removed] = None if result is None else result.cost
             if result is not None and (best is None or result.cost < best[0]):
                 best = (result.cost, Solution(
-                    outliers=removed, clusters=result.clusters,
-                    centers=result.centers, cost=result.cost), Y, tau)
+                    outliers=removed,
+                    clusters=problem.clusters_of(result.assign),
+                    centers=tuple(inst.F[j] for j in result.cols),
+                    cost=result.cost), Y, tau)
         records.append(IterationRecord(index, Y, tau, matching.total_weight,
                                        cost, cost is not None, 0.0))
     if best is None:
@@ -471,12 +493,15 @@ def reference_greedy_centers(problem, rng, W_all):
     return chosen
 
 
+ReferenceResult = namedtuple("ReferenceResult", "clusters centers cost")
+
+
 def reference_local_search(problem, rng_seed=0):
     """Single-swap local search that solves the assignment of every swap
-    of every sweep and builds its clusters."""
+    of every sweep and builds its clusters; a ``ReferenceResult``."""
     from outlier_reduce.solvers import (IMPROVE_ATOL,
                                         LOCAL_SEARCH_ITERATION_FACTOR,
-                                        SolverResult, _assign_with_matrix)
+                                        assign_given_centers)
 
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
@@ -488,7 +513,7 @@ def reference_local_search(problem, rng_seed=0):
 
     def evaluate(cs):
         centers = tuple(inst.F[j] for j in cs)
-        return centers, _assign_with_matrix(problem, centers, W_all[:, cs])
+        return centers, assign_given_centers(problem, centers)
 
     centers, res = evaluate(cols)
     if res is None:
@@ -522,7 +547,7 @@ def reference_local_search(problem, rng_seed=0):
         if best is None:
             break
         cols, centers, clusters, cost = best
-    return SolverResult(clusters=clusters, centers=centers, cost=cost)
+    return ReferenceResult(clusters=clusters, centers=centers, cost=cost)
 
 
 def reference_solve_unconstrained(inst: ClusteringInstance, num_centers: int,

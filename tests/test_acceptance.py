@@ -24,8 +24,9 @@ from outlier_reduce.oracle import exact_outlier_opt, ulam_bfs, ulam_bfs_distance
 from outlier_reduce.reduction import (ReductionConfig, ReductionInfeasible,
                                       enumerate_valid_tuples, run_reduction)
 from outlier_reduce.sampling import dz_sample, sample_size
-from outlier_reduce.solvers import OutlierFreeProblem, assign_given_centers, get_plugin
-from helpers import brute_assignment, brute_bmatching, random_bmatching_problem
+from outlier_reduce.solvers import assign_given_centers, get_plugin
+from helpers import (brute_assignment, brute_bmatching,
+                     random_bmatching_problem, residual_problem)
 
 EXACT = get_plugin("exact")
 EPSILON = 0.5
@@ -305,7 +306,7 @@ def test_criterion_8_assignment_exactness():
         rng = np.random.default_rng(8000 + kind_index)
         for _ in range(per_kind):
             inst, x_prime, centers = _random_assignment_case(kind, rng)
-            got = assign_given_centers(OutlierFreeProblem(inst, x_prime),
+            got = assign_given_centers(residual_problem(inst, x_prime),
                                        centers)
             expected = brute_assignment(inst, list(x_prime), centers)
             if expected is None:

@@ -192,6 +192,33 @@ def test_eval_wrong_cluster_count_emits_valid_json(tmp_path):
     assert parsed["recomputed_cost"] is None
 
 
+@pytest.mark.parametrize("constraint", [
+    {"kind": "unconstrained"},
+    {"kind": "capacitated", "s": [4, 4]},
+    {"kind": "label_bounds", "min_per_label": {"a": 1}}])
+def test_eval_reports_foreign_points(tmp_path, constraint):
+    # ref 99 is no client: eval lists the violation and exits 2 instead of
+    # failing on the lookup in check() or cost()
+    inst = tmp_path / "inst.json"
+    data = {"metric": {"kind": "euclidean", "dim": 1}, "z": 1,
+            "points": [[0], [1], [5], [6]], "facilities": [[0], [5]],
+            "k": 2, "m": 1, "constraint": constraint}
+    if constraint["kind"] == "label_bounds":
+        data["labels"] = ["a"] * 4
+    inst.write_text(json.dumps(data))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"cost": 2.0, "centers": [0, 2],
+                               "clusters": [[0, 1, 99], [2, 3]],
+                               "outliers": []}))
+    out = tmp_path / "eval.json"
+    assert run(["eval", "--instance", inst, "--solution", sol,
+                "--out", out]) == 2
+    report = json.loads(out.read_text())
+    assert report["feasible"] is False
+    assert report["recomputed_cost"] is None
+    assert "partition contains foreign points [99]" in report["violations"]
+
+
 def test_bmatch_subcommand(tmp_path):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps({"weights": [[3.0], [5.0]], "demands": [1]}))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from outlier_reduce.gen import GeneratorConfig, generate_instance, generate_instance_dict
+from outlier_reduce.gen import (GeneratorConfig, _move, _random_move,
+                                generate_instance, generate_instance_dict)
 from outlier_reduce.instance import instance_from_dict
 
 
@@ -86,3 +87,18 @@ def test_labels_only_when_needed():
     labelled = generate_instance_dict(
         GeneratorConfig(n=8, k=2, m=1, constraint="label_bounds"), seed=0)
     assert len(labelled["labels"]) == 8
+
+
+def test_random_move_reaches_every_one_move_neighbour():
+    # a length-4 permutation has (4 - 1)^2 + 1 = 10 permutations within one
+    # move, itself included; the last position is a target like any other
+    site = (1, 2, 3, 4)
+    neighbourhood = {_move(site, i, j) for i in range(4) for j in range(4)}
+    assert len(neighbourhood) == 10
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(2000):
+        seen.add(_random_move(site, rng))
+        if seen == neighbourhood:
+            break
+    assert seen == neighbourhood

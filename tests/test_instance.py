@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from outlier_reduce.gen import GeneratorConfig, generate_instance_dict
 from outlier_reduce.instance import (ClusteringInstance, ConstraintSpec,
-                                     Solution, check, cost,
+                                     Solution, check, check_counts, cost,
                                      instance_from_dict, instance_to_dict,
                                      validate_solution)
 from outlier_reduce.metric import euclidean_space
 
-from helpers import fref_of, line_instance, ref_of, reference_check
+from helpers import (fref_of, label_of, line_instance, ref_of,
+                     reference_check)
 
 
 def refs(inst, *values):
@@ -256,8 +257,8 @@ def test_check_depends_only_on_cardinalities(data):
     c1, c2 = set(members[:half]), set(members[half:])
     centers = [inst.F[0], inst.F[1]]
     before = check(inst, [c1, c2], centers)
-    swaps = [(x, y) for x in c1 for y in c2
-             if inst.label_of[x] == inst.label_of[y]]
+    lab_of = label_of(inst)
+    swaps = [(x, y) for x in c1 for y in c2 if lab_of[x] == lab_of[y]]
     if swaps:
         x, y = data.draw(st.sampled_from(swaps))
         c1 = (c1 - {x}) | {y}
@@ -337,6 +338,17 @@ def test_check_agrees_with_reference_on_every_kind():
                          centers) == want
             shuffled = [rng.permutation(c).tolist() for c in members]
             assert check(inst, shuffled, centers) == want
+            # the assignment form: counts straight from the where array
+            label_counts = outlier_counts = None
+            if spec.uses_labels:
+                codes, nl = inst.label_codes, len(inst.windowed_labels)
+                label_counts = np.bincount(
+                    (where * nl + codes)[where >= 0],
+                    minlength=k * nl).reshape(k, nl)
+                outlier_counts = np.bincount(codes[where < 0], minlength=nl)
+            assert check_counts(inst, (inst.fpos[f] for f in centers),
+                                np.bincount(where[where >= 0], minlength=k),
+                                label_counts, outlier_counts) == want
     assert all(seen == {True, False} for kind, seen in outcomes.items()
                if kind != "unconstrained"), outcomes
 

@@ -7,14 +7,14 @@ from outlier_reduce.metric import ulam_distance
 from outlier_reduce.oracle import (OracleBudget, OracleBudgetExceeded,
                                    exact_outlier_opt, ulam_bfs,
                                    ulam_bfs_distances)
-from outlier_reduce.solvers import OutlierFreeProblem, solve_exact
-from helpers import brute_outlier_opt, line_instance, ref_of
+from outlier_reduce.solvers import solve_exact
+from helpers import brute_outlier_opt, line_instance, ref_of, residual_problem
 
 
 def test_m0_equals_solve_exact():
     inst = line_instance([0, 1, 5, 9], k=2, m=0)
     opt, sol = exact_outlier_opt(inst)
-    exact = solve_exact(OutlierFreeProblem(inst, tuple(inst.X)))
+    exact = solve_exact(residual_problem(inst, inst.X))
     assert opt == pytest.approx(exact.cost, abs=1e-12)
 
 

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from outlier_reduce import reduction
+from outlier_reduce import reduction, solvers
 from outlier_reduce.baseline import AnchorSet
 from outlier_reduce.bmatching import prune_left
 from outlier_reduce.instance import instance_from_dict, validate_solution
@@ -17,7 +17,9 @@ from outlier_reduce.reduction import (PluginContractError, ReductionConfig,
                                       enumerate_outlier_subsets,
                                       enumerate_valid_tuples, run_reduction)
 from outlier_reduce.sampling import SamplePool
-from outlier_reduce.solvers import SolverPlugin, SolverResult, get_plugin
+from outlier_reduce.solvers import (OutlierFreeProblem, SolverPlugin,
+                                    SolverResult, get_plugin, solve_exact,
+                                    solve_local_search)
 from outlier_reduce.gen import GeneratorConfig, generate_instance
 from helpers import (build_matching_problem, line_instance, ref_of,
                      reference_reduction)
@@ -411,28 +413,85 @@ def test_matches_reference_loop_when_matchings_fail():
                           res.chosen_tau, res.q) == run_fields(*want)
 
 
-@pytest.mark.parametrize("fault", ["overlap", "missing", "extra", "centers",
-                                   "check"])
+@pytest.mark.parametrize("fault", ["none", "missing", "extra", "negative",
+                                   "beyond_k", "centers", "cols_range",
+                                   "check", "cost_1pct_low"])
 def test_plugin_contract_is_enforced(fault):
+    # the exact plugin's own result, broken in one way; "none" passes
     inst = line_instance([0, 1, 2, 10, 11], k=2, m=1,
                          constraint={"kind": "size_bounds", "r": [1, 1],
                                      "l": [3, 3]})
 
     def faulty_solve(problem, rng_seed=0):
-        xs = list(problem.X_prime)
-        clusters = [xs[:2], xs[2:]]
-        if fault == "overlap":  # the union is X' and the sizes fit
-            clusters = [xs[:3], xs[2:]]
-        elif fault == "missing":
-            clusters = [xs[:2], xs[2:-1]]
-        elif fault == "extra":
-            clusters = [xs[:2], xs[2:] + [x for x in inst.X if x not in xs]]
+        res = EXACT.solve(problem, rng_seed)
+        cols, assign, cost = list(res.cols), res.assign.copy(), res.cost
+        if fault == "missing":  # the last residual point has no cluster
+            assign = assign[:-1]
+        elif fault == "extra":  # one more point than the residual holds
+            assign = np.append(assign, 0)
+        elif fault == "negative":
+            assign[0] = -1
+        elif fault == "beyond_k":
+            assign[0] = inst.k
+        elif fault == "centers":
+            cols = cols[:1]
+        elif fault == "cols_range":
+            cols[0] = len(inst.F)
         elif fault == "check":  # an empty cluster breaks r = 1
-            clusters = [[], xs]
-        centers = inst.F[:1] if fault == "centers" else inst.F[:2]
-        return SolverResult(tuple(frozenset(c) for c in clusters),
-                            tuple(centers), 0.0)
+            assign[:] = 1
+            cost = float(problem.weight_matrix()[:, cols[1]].sum())
+        elif fault == "cost_1pct_low":  # every residual here costs > 0
+            cost *= 0.99
+        return SolverResult(tuple(cols), assign, cost)
 
+    plugin = SolverPlugin("faulty", faulty_solve, "heuristic")
+    if fault == "none":
+        res = run_reduction(inst, exhaustive_config(), plugin)
+        assert res.solution == run_reduction(inst, exhaustive_config(),
+                                             EXACT).solution
+        return
     with pytest.raises(PluginContractError):
-        run_reduction(inst, exhaustive_config(),
-                      SolverPlugin("faulty", faulty_solve, "heuristic"))
+        run_reduction(inst, exhaustive_config(), plugin)
+
+
+def test_quota_is_tested_once_per_solver_call(monkeypatch):
+    # gen --n 14 --k 2 --m 2 --seed 1 --constraint outlier_label_quota: the
+    # quota asks for both outliers to carry label L0
+    inst = generate_instance(GeneratorConfig(
+        n=14, k=2, m=2, constraint="outlier_label_quota"), seed=1)
+    counted = {"solve": 0, "quota": 0, "check": 0, "bounds": 0, "assign": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solvers, "check_counts",
+                        counting("quota", solvers.check_counts))
+    for module in (solvers, reduction):
+        monkeypatch.setattr(module, "check", counting("check", module.check))
+    plugin = SolverPlugin("exact", counting("solve", EXACT.solve),
+                          EXACT.exactness)
+    res = run_reduction(inst, exhaustive_config(), plugin)
+    assert res.q == 239
+    assert counted["solve"] > 0 and counted["quota"] == counted["solve"]
+    assert counted["check"] == 0
+
+    # a residual that drops an L1 client fails the quota before any center
+    # tuple is scored or assigned
+    monkeypatch.setattr(solvers, "_tuple_bounds",
+                        counting("bounds", solvers._tuple_bounds))
+    monkeypatch.setattr(solvers, "_assignment",
+                        counting("assign", solvers._assignment))
+    codes = np.array(inst.labels)
+    for dropped, feasible in (("L1", False), ("L0", True)):
+        rows = np.delete(np.arange(inst.n),
+                         np.flatnonzero(codes == dropped)[:2])
+        problem = OutlierFreeProblem(inst, rows)
+        before = dict(counted)
+        for solve in (solve_exact, solve_local_search):
+            assert (solve(problem) is not None) == feasible
+        scored = counted["bounds"] + counted["assign"]
+        assert (scored > before["bounds"] + before["assign"]) == feasible
+        assert counted["quota"] == before["quota"] + 2

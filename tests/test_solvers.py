@@ -13,16 +13,24 @@ from outlier_reduce.instance import (ClusteringInstance, ConstraintSpec,
                                      instance_to_dict, validate_solution,
                                      Solution)
 from outlier_reduce.solvers import (IMPROVE_ATOL, ExactBudgetExceeded,
-                                    OutlierFreeProblem, SolverResult,
-                                    _assign_with_matrix, assign_given_centers,
+                                    OutlierFreeProblem, assign_given_centers,
                                     solve_exact, solve_local_search)
-from helpers import (brute_assignment, fref_of, line_instance, ref_of,
-                     reference_greedy_centers, reference_local_search)
+from helpers import (ReferenceResult, brute_assignment, fref_of, label_of,
+                     line_instance, ref_of, reference_greedy_centers,
+                     reference_local_search, residual_problem)
 
 
 def problem_of(inst, xs=None):
     xp = tuple(inst.X) if xs is None else tuple(ref_of(inst, v) for v in xs)
-    return OutlierFreeProblem(inst, xp)
+    return residual_problem(inst, xp)
+
+
+def rows_problem(inst, rows):
+    return OutlierFreeProblem(inst, np.asarray(rows, dtype=np.intp))
+
+
+def centers_of(inst, res):
+    return tuple(inst.F[j] for j in res.cols)
 
 
 def test_assign_unconstrained_nearest():
@@ -96,7 +104,7 @@ def test_assign_fractional_label_bounds():
 def test_solve_exact_single_facility():
     inst = line_instance([0, 1, 2], fs=[1], k=1)
     res = solve_exact(problem_of(inst))
-    assert res.centers == (fref_of(inst, 1),)
+    assert centers_of(inst, res) == (fref_of(inst, 1),)
     assert res.cost == pytest.approx(2.0)
 
 
@@ -166,9 +174,10 @@ def test_exact_solution_validates():
     inst = line_instance([0, 1, 5, 6], k=2, m=0,
                          constraint={"kind": "size_bounds", "r": [1, 1],
                                      "l": [4, 4]})
-    res = solve_exact(problem_of(inst))
-    sol = Solution(outliers=frozenset(), clusters=res.clusters,
-                   centers=res.centers, cost=res.cost)
+    prob = problem_of(inst)
+    res = solve_exact(prob)
+    sol = Solution(outliers=frozenset(), clusters=prob.clusters_of(res.assign),
+                   centers=centers_of(inst, res), cost=res.cost)
     report = validate_solution(inst, sol)
     assert report.feasible, report.violations
 
@@ -193,7 +202,8 @@ def test_local_search_never_beats_exact_and_is_deterministic():
         exact = solve_exact(prob)
         ls1 = solve_local_search(prob, rng_seed=trial)
         ls2 = solve_local_search(prob, rng_seed=trial)
-        assert ls1 == ls2
+        assert (ls1.cols, ls1.assign.tolist(), ls1.cost) == (
+            ls2.cols, ls2.assign.tolist(), ls2.cost)
         assert ls1.cost >= exact.cost - 1e-9
 
 
@@ -204,9 +214,9 @@ def test_exact_output_is_local_search_fixed_point():
     # no single swap from the optimal centers can improve
     for i in range(2):
         for f in inst.F:
-            if f in exact.centers:
+            if f in centers_of(inst, exact):
                 continue
-            trial = list(exact.centers)
+            trial = list(centers_of(inst, exact))
             trial[i] = f
             res = assign_given_centers(prob, tuple(trial))
             if res is not None:
@@ -215,10 +225,10 @@ def test_exact_output_is_local_search_fixed_point():
 
 def test_empty_residual_set():
     inst = line_instance([0, 1], k=1, m=2)
-    prob = OutlierFreeProblem(inst, ())
+    prob = rows_problem(inst, [])
     res = solve_exact(prob)
     assert res is not None and res.cost == 0.0
-    assert all(len(c) == 0 for c in res.clusters)
+    assert all(len(c) == 0 for c in prob.clusters_of(res.assign))
 
 
 def reference_solve_exact(problem):
@@ -239,7 +249,7 @@ def reference_solve_exact(problem):
         if best_cost is not None and lower >= best_cost - IMPROVE_ATOL:
             continue
         centers = tuple(inst.F[j] for j in cols)
-        res = _assign_with_matrix(problem, centers, W)
+        res = assign_given_centers(problem, centers)
         if res is None:
             continue
         clusters, cost = res
@@ -247,17 +257,18 @@ def reference_solve_exact(problem):
             best_cost, best_cols, best_assignment = cost, centers, clusters
     if best_cost is None:
         return None
-    return SolverResult(clusters=best_assignment, centers=best_cols,
-                        cost=best_cost)
+    return ReferenceResult(clusters=best_assignment, centers=best_cols,
+                           cost=best_cost)
 
 
-def assert_same_result(got, want):
+def assert_same_result(problem, got, want):
+    """A solver's result equals a reference's, bit for bit."""
     if want is None:
         assert got is None
         return
     assert got.cost.hex() == want.cost.hex()
-    assert got.centers == want.centers
-    assert got.clusters == want.clusters
+    assert centers_of(problem.inst, got) == want.centers
+    assert problem.clusters_of(got.assign) == want.clusters
 
 
 KIND_SPECS = [
@@ -293,10 +304,12 @@ def test_exact_matches_scalar_reference(spec, labelled, block_elements,
         for drop in (0, 1, 2):
             keep = sorted(rng.choice(inst.n, size=inst.n - drop,
                                      replace=False))
-            prob = OutlierFreeProblem(inst, tuple(inst.X[i] for i in keep))
-            assert_same_result(solve_exact(prob), reference_solve_exact(prob))
-        empty = OutlierFreeProblem(inst, ())
-        assert_same_result(solve_exact(empty), reference_solve_exact(empty))
+            prob = rows_problem(inst, keep)
+            assert_same_result(prob, solve_exact(prob),
+                               reference_solve_exact(prob))
+        empty = rows_problem(inst, [])
+        assert_same_result(empty, solve_exact(empty),
+                           reference_solve_exact(empty))
 
 
 @pytest.mark.parametrize("gap,winner", [(1e-10, 1), (1e-8, 2)])
@@ -308,8 +321,9 @@ def test_exact_near_tie_keeps_first_tuple(gap, winner):
         inst = line_instance([0], fs=[1, 1 - gap], k=1, constraint=kind)
         prob = problem_of(inst)
         res = solve_exact(prob)
-        assert_same_result(res, reference_solve_exact(prob))
-        assert res.centers == (fref_of(inst, 1 if winner == 1 else 1 - gap),)
+        assert_same_result(prob, res, reference_solve_exact(prob))
+        assert centers_of(inst, res) == (
+            fref_of(inst, 1 if winner == 1 else 1 - gap),)
 
 
 def test_exact_near_ties_random_match_reference():
@@ -319,7 +333,7 @@ def test_exact_near_ties_random_match_reference():
         xs[rng.integers(0, 6)] += rng.choice([-1, 1]) * 1e-10
         inst = line_instance(sorted(set(xs.tolist())), k=2)
         prob = problem_of(inst)
-        assert_same_result(solve_exact(prob), reference_solve_exact(prob))
+        assert_same_result(prob, solve_exact(prob), reference_solve_exact(prob))
 
 
 def test_center_tuple_table():
@@ -358,18 +372,18 @@ def test_integral_label_windows_match_flow():
                              constraint={"kind": "label_bounds",
                                          "min_per_label": mins,
                                          "max_per_label": maxs})
+        lab_of = label_of(inst)
         keep = [x for x in inst.X if rng.random() > 0.2]
         if trial % 5 == 0:  # drop every point of label "c" from X'
-            keep = [x for x in keep if inst.label_of[x] != "c"]
-        prob = OutlierFreeProblem(inst, tuple(keep))
+            keep = [x for x in keep if lab_of[x] != "c"]
+        prob = residual_problem(inst, keep)
         centers = tuple(inst.F[i] for i in sorted(
             rng.choice(len(inst.F), size=k, replace=False)))
         W = prob.weight_matrix()[:, [inst.fpos[f] for f in centers]]
-        got = _assign_with_matrix(prob, centers, W)
+        got = assign_given_centers(prob, centers)
         want = flow_label_windows(prob, centers, W)
         assert (got is None) == (want is None)
-        counts = {lab: sum(inst.label_of[x] == lab for x in keep)
-                  for lab in "abc"}
+        counts = {lab: sum(lab_of[x] == lab for x in keep) for lab in "abc"}
         seen["absent"] += counts["c"] == 0
         if any(counts[lab] < k * mins[lab] for lab in "abc"):
             seen["short"] += 1
@@ -382,37 +396,38 @@ def test_integral_label_windows_match_flow():
                                for lab in "abc")
         assert abs(got[1] - want[1]) <= 1e-9
         assert got[1] == pytest.approx(sum(
-            inst.powered_xf(x, centers[i])
+            inst.pow_xf[inst.xpos[x], inst.fpos[centers[i]]]
             for i, c in enumerate(got[0]) for x in c), abs=1e-9)
         assert check(inst, got[0], centers)
     assert min(seen.values()) >= 5, seen
 
 
-def test_residual_rows_are_positions():
+def test_problem_from_rows_alone():
     inst = line_instance([5, 0, 9, 1, 4], fs=[0, 9], k=2)
+    prob = rows_problem(inst, [4, 0, 3])
     keep = (inst.X[4], inst.X[0], inst.X[3])
-    derived = OutlierFreeProblem(inst, keep)
-    assert derived.rows.tolist() == [4, 0, 3]
-    given = OutlierFreeProblem(inst, keep, np.array([4, 0, 3]))
-    assert given == derived  # rows take no part in equality
-    assert (given.weight_matrix().tobytes()
-            == np.array([[inst.powered_xf(x, f) for f in inst.F]
-                         for x in keep]).tobytes())
-    assert OutlierFreeProblem(inst, ()).weight_matrix().shape == (0, 2)
+    assert prob.n == 3
+    assert prob.X_prime == keep and hash(prob.X_prime) == hash(keep)
+    assert (prob.weight_matrix().tobytes()
+            == inst.space.powered_rows(keep, inst.F).tobytes())
+    assert rows_problem(inst, []).X_prime == ()
+    assert rows_problem(inst, []).weight_matrix().shape == (0, 2)
+    # the driver's residual: X without a removed set, in X order
+    without = OutlierFreeProblem.without(inst, {inst.X[1], inst.X[2]})
+    assert without.rows.dtype == np.intp and without.rows.tolist() == [0, 3, 4]
 
 
-def test_clusters_from_assignment_match_loop():
+def test_clusters_of_matches_loop():
     rng = np.random.default_rng(23)
     inst = line_instance(rng.permutation(30).tolist(), fs=[0, 10, 20], k=3)
     for _ in range(20):
-        keep = tuple(x for x in inst.X if rng.random() > 0.3)
-        prob = OutlierFreeProblem(inst, keep)
-        assign = rng.integers(0, 3, size=len(keep)).tolist()
+        rows = rng.permutation(inst.n)[:int(rng.integers(0, inst.n + 1))]
+        prob = rows_problem(inst, rows)
+        assign = rng.integers(0, 3, size=len(rows))
         groups = [set() for _ in range(3)]
-        for x, i in zip(keep, assign):
-            groups[i].add(x)
-        assert solvers._clusters_from_assignment(prob, assign, 3) == tuple(
-            frozenset(g) for g in groups)
+        for u, i in zip(rows.tolist(), assign.tolist()):
+            groups[i].add(inst.X[u])
+        assert prob.clusters_of(assign) == tuple(frozenset(g) for g in groups)
 
 
 def test_absent_label_minimum_is_infeasible():
@@ -447,7 +462,7 @@ def test_label_windows_engine_walks_absent_labels():
                                             problem_of(inst).weight_matrix())
         assert (res is not None) == feasible
         if feasible:
-            assert res == ([0, 0, 1, 1], 2.0)
+            assert res[0].tolist() == [0, 0, 1, 1] and res[1] == 2.0
 
 
 def test_beta_only_fractional_spec_is_enforced():
@@ -470,9 +485,11 @@ def test_beta_only_fractional_spec_is_enforced():
         assert check(inst, [frozenset(inst.X[2:])], center)
         for solve in (solve_exact, solve_local_search):
             assert solve(problem_of(inst)) is None
-            res = solve(OutlierFreeProblem(inst, inst.X[2:]))
+            prob = rows_problem(inst, [2, 3])
+            res = solve(prob)
             assert res.cost == pytest.approx(1.0)
-            assert check(inst, res.clusters, res.centers)
+            assert check(inst, prob.clusters_of(res.assign),
+                         centers_of(inst, res))
 
 
 def local_search_instances(spec, labelled, rng):
@@ -517,16 +534,16 @@ def test_local_search_matches_reference_loop(spec, labelled):
         for drop in (0, 1, 2):
             keep = sorted(rng.choice(inst.n, size=inst.n - drop,
                                      replace=False))
-            prob = OutlierFreeProblem(inst, tuple(inst.X[i] for i in keep))
+            prob = rows_problem(inst, keep)
             for seed in (0, 1, 7):
                 got = solve_local_search(prob, seed)
-                assert_same_result(got, reference_local_search(prob, seed))
+                assert_same_result(prob, got,
+                                   reference_local_search(prob, seed))
                 seen["feasible"] += got is not None
-                W = prob.weight_matrix()
                 cols = reference_greedy_centers(
-                    prob, np.random.default_rng(seed), W)
-                seen["fallback"] += got is not None and _assign_with_matrix(
-                    prob, tuple(inst.F[j] for j in cols), W[:, cols]) is None
+                    prob, np.random.default_rng(seed), prob.weight_matrix())
+                seen["fallback"] += got is not None and assign_given_centers(
+                    prob, tuple(inst.F[j] for j in cols)) is None
     assert seen["feasible"] >= 5, seen
     if spec["kind"] == "capacitated":
         assert seen["fallback"] >= 5, seen
@@ -541,11 +558,10 @@ def test_local_search_near_tie_after_fallback(gap, moves):
     inst = line_instance([0], fs=[0.5, 1, 1 - gap], k=1,
                          constraint={"kind": "capacitated", "s": [0, 1, 1]})
     prob = problem_of(inst)
-    W = prob.weight_matrix()
-    assert _assign_with_matrix(prob, (inst.F[0],), W[:, [0]]) is None
+    assert assign_given_centers(prob, (inst.F[0],)) is None
     res = solve_local_search(prob)
-    assert_same_result(res, reference_local_search(prob))
-    assert res.centers == (fref_of(inst, 1 - gap if moves else 1),)
+    assert_same_result(prob, res, reference_local_search(prob))
+    assert centers_of(inst, res) == (fref_of(inst, 1 - gap if moves else 1),)
 
 
 def test_local_search_near_ties_random_match_reference():
@@ -559,9 +575,10 @@ def test_local_search_near_ties_random_match_reference():
                  "s": [int(rng.integers(1, 5)) for _ in xs]}
                 if trial % 2 else {"kind": "unconstrained"})
         inst = line_instance(xs, k=2, z=1 + trial % 3 // 2, constraint=spec)
+        prob = problem_of(inst)
         for seed in (0, 1):
-            assert_same_result(solve_local_search(problem_of(inst), seed),
-                               reference_local_search(problem_of(inst), seed))
+            assert_same_result(prob, solve_local_search(prob, seed),
+                               reference_local_search(prob, seed))
 
 
 def test_local_search_accepts_a_swap_summed_below_its_bound():
@@ -578,8 +595,8 @@ def test_local_search_accepts_a_swap_summed_below_its_bound():
                                      "max_per_label": {"b": 6}})
     prob = problem_of(inst)
     res = solve_local_search(prob)
-    assert_same_result(res, reference_local_search(prob))
-    col = inst.fpos[res.centers[0]]
+    assert_same_result(prob, res, reference_local_search(prob))
+    col = res.cols[0]
     bound = solvers._tuple_bounds(np.ascontiguousarray(
         prob.weight_matrix().T), np.array([[col]]))[0]
     assert res.cost < bound
@@ -597,7 +614,8 @@ def test_local_search_skips_swaps_that_cannot_win(monkeypatch):
     res = solve_local_search(problem_of(inst))
     solved = len(calls)
     monkeypatch.undo()
-    assert_same_result(res, reference_local_search(problem_of(inst)))
+    assert_same_result(problem_of(inst), res,
+                       reference_local_search(problem_of(inst)))
     # the reference solves the seed and all 2 * 18 swaps of every sweep
     assert 0 < solved < 36 // 2
 
@@ -640,8 +658,7 @@ def bound_premise_cases(draw):
     inst = line_instance(xs, fs, k=k, m=2, z=draw(st.sampled_from([1, 2])),
                          constraint=spec, labels=labels)
     keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return OutlierFreeProblem(inst, tuple(x for x, kept in zip(inst.X, keep)
-                                          if kept))
+    return rows_problem(inst, np.flatnonzero(keep))
 
 
 @settings(max_examples=150, deadline=None)
@@ -657,7 +674,6 @@ def test_assignment_cost_is_at_least_shrunk_bound(prob):
     bounds = solvers._tuple_bounds(np.ascontiguousarray(W_all.T), tuples)
     shrink = 1.0 - 4.0 * prob.n * np.finfo(float).eps
     for cols, bound in zip(tuples, bounds):
-        res = _assign_with_matrix(prob, tuple(inst.F[j] for j in cols),
-                                  W_all[:, cols])
+        res = assign_given_centers(prob, tuple(inst.F[j] for j in cols))
         if res is not None:
             assert res[1] >= bound * shrink

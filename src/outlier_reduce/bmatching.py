@@ -5,28 +5,32 @@ vertices; each left vertex is used at most once; total edge weight is
 minimized. The labelled variant additionally fixes, per right vertex,
 how many of its matches carry each label.
 
+Vertices are positions: left rows and right columns of the weight
+matrix, and labels are integer codes that index each right vertex's
+count tuple. A caller keeps its own map from rows to points and from
+codes to label names.
+
 Both shapes are rectangular linear sum assignments on slot-expanded
 columns: right vertex j becomes t_j unit copies. Copies of a label only
 see left vertices of that label, so the labelled variant splits into one
 assignment per label. The counts alone decide feasibility, before any
 solve. Among equal-weight optima each match moves to the lowest free left
-position of its label and weight, so ties follow the left order rather
-than the assignment code's. The matching is exact; heuristics are
-deliberately not offered.
+row of its label and weight, so ties follow the row order rather than the
+assignment code's. The matching is exact; heuristics are deliberately not
+offered.
 
 ``prune_left`` keeps, per right vertex (and label), the nearest
-max(m, total demand) left vertices. Its rule comes in two steps, so that
-a caller can sort once and prune many times: ``nearest_orders`` sorts
-each right vertex's left positions by (weight, position), and
-``select_nearest`` takes the first entries of each order outside an
-excluded set. The reduction sorts every anchor's clients once per run and
-excludes each pair's Y.
+max(m, total demand) left rows. Its rule comes in two steps, so that a
+caller can sort once and prune many times: ``nearest_orders`` sorts each
+right vertex's left rows by (weight, row), and ``select_nearest`` takes
+the first entries of each order outside an excluded set. The reduction
+sorts every anchor's clients once per run and excludes each pair's Y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence, Set as AbstractSet
+from collections.abc import Sequence, Set as AbstractSet
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -37,49 +41,54 @@ __all__ = ["BMatchingProblem", "BMatchingSolution", "BMatchingInfeasible",
 
 
 class BMatchingInfeasible(Exception):
-    """The demand vector cannot be met; the message names the shortfall."""
+    """The demands cannot be met; ``reason`` says why. When one label's
+    demand exceeds its left rows, ``label`` is that label's code."""
+
+    def __init__(self, reason: str, label: int | None = None):
+        super().__init__(reason if label is None
+                         else f"label {label}: {reason}")
+        self.reason = reason
+        self.label = label
 
 
 @dataclass(frozen=True)
 class BMatchingProblem:
     """Weighted bipartite demand-matching problem.
 
-    ``weights[u, j]`` is the cost of matching left vertex u to right vertex
-    j. ``left`` / ``right`` carry the callers' point refs so solutions map
-    back; the solver itself only uses positions. For the labelled variant,
-    ``left_labels`` aligns with ``left`` and ``label_demands[j]`` maps each
-    label to the exact number of label-l matches right vertex j requires
-    (the per-label counts must sum to ``demands[j]``).
+    ``weights[u, j]`` is the cost of matching left row u to right vertex
+    j. For the labelled variant, ``left_labels[u]`` is row u's label code
+    and ``label_demands[j][c]`` the exact number of matches of code c that
+    right vertex j requires (each tuple sums to ``demands[j]``). A row
+    whose code has no entry in the tuples is never matched.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
     weights: np.ndarray
     demands: tuple[int, ...]
-    left_labels: tuple[str, ...] | None = None
-    label_demands: tuple[Mapping[str, int], ...] | None = None
+    left_labels: Sequence[int] | None = None
+    label_demands: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.left), len(self.right)):
-            raise ValueError(f"weight matrix shape {w.shape} does not match "
-                             f"{len(self.left)} x {len(self.right)}")
-        if len(self.demands) != len(self.right):
-            raise ValueError("demands must align with right vertices")
+        if w.ndim != 2 or w.shape[1] != len(self.demands):
+            raise ValueError(f"weight matrix shape {w.shape} does not have "
+                             f"one column per demand ({len(self.demands)})")
         if any(t < 0 for t in self.demands):
             raise ValueError("demands must be nonnegative")
         if (self.left_labels is None) != (self.label_demands is None):
             raise ValueError("left_labels and label_demands go together")
         if self.left_labels is not None:
-            if len(self.left_labels) != len(self.left):
-                raise ValueError("left_labels must align with left vertices")
-            if len(self.label_demands) != len(self.right):
+            object.__setattr__(self, "left_labels", tuple(self.left_labels))
+            if len(self.left_labels) != len(w):
+                raise ValueError("left_labels must align with left rows")
+            if len(self.label_demands) != len(self.demands):
                 raise ValueError("label_demands must align with right vertices")
+            if len({len(psi) for psi in self.label_demands}) > 1:
+                raise ValueError("label_demands need one count per label code")
             for j, (t, psi) in enumerate(zip(self.demands, self.label_demands)):
-                if sum(psi.values()) != t:
+                if sum(psi) != t:
                     raise ValueError(
                         f"label demands at right vertex {j} sum to "
-                        f"{sum(psi.values())}, expected {t}")
+                        f"{sum(psi)}, expected {t}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -93,59 +102,55 @@ class BMatchingProblem:
 
 @dataclass(frozen=True)
 class BMatchingSolution:
-    edges: tuple[tuple[int, int], ...]   # (left ref, right ref) pairs
+    """Matched left ``rows`` in ascending order, each with its right vertex
+    in ``cols``; ``total_weight`` sums the matches in row order."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
     total_weight: float
-    matched_left: frozenset[int]
 
 
-def _shortfall(prob: BMatchingProblem) -> str | None:
-    """Why the demands cannot be met, or None when they can.
+def _shortfall(prob: BMatchingProblem) -> None:
+    """Raise BMatchingInfeasible unless the demands can be met.
 
-    Every left vertex may serve every right vertex (of its label), so the
+    Every left row may serve every right vertex (of its label), so the
     counts decide feasibility: the total demand, and per label the demand
-    against the left vertices carrying that label.
+    against the rows carrying that label.
     """
-    if prob.total_demand > len(prob.left):
-        return (f"total demand {prob.total_demand} exceeds "
-                f"{len(prob.left)} left vertices")
+    if prob.total_demand > len(prob.weights):
+        raise BMatchingInfeasible(f"total demand {prob.total_demand} exceeds "
+                                  f"{len(prob.weights)} left vertices")
     if prob.labelled:
-        avail: dict[str, int] = {}
-        for lab in prob.left_labels:
-            avail[lab] = avail.get(lab, 0) + 1
-        need: dict[str, int] = {}
-        for psi in prob.label_demands:
-            for lab, cnt in psi.items():
-                need[lab] = need.get(lab, 0) + cnt
-        for lab, cnt in sorted(need.items()):
-            if cnt > avail.get(lab, 0):
-                return (f"label {lab!r}: demand {cnt} exceeds "
-                        f"{avail.get(lab, 0)} available left vertices")
-    return None
+        for lab, need in enumerate(map(sum, zip(*prob.label_demands))):
+            have = prob.left_labels.count(lab)
+            if need > have:
+                raise BMatchingInfeasible(
+                    f"demand {need} exceeds {have} available left vertices",
+                    lab)
 
 
 def solve_bmatching(prob: BMatchingProblem) -> BMatchingSolution:
     """Globally minimum-weight matching meeting every demand exactly."""
-    reason = _shortfall(prob)
-    if reason is not None:
-        raise BMatchingInfeasible(reason)
+    _shortfall(prob)
     # each right vertex j becomes t_j unit copies; the copies of a label
-    # only see that label's left vertices: one assignment per label
-    labels = prob.left_labels or (None,) * len(prob.left)
-    demands = prob.label_demands or tuple({None: t} for t in prob.demands)
+    # only see that label's left rows: one assignment per label (an
+    # unlabelled problem is a labelled one with a single code, 0)
+    nl = len(prob.weights)
+    labels = prob.left_labels or (0,) * nl
+    demands = prob.label_demands or tuple((t,) for t in prob.demands)
     match = {}
-    for lab in sorted({lab for psi in demands for lab in psi}):
-        rows = [u for u, x in enumerate(labels) if x == lab]
-        copies = [j for j, psi in enumerate(demands)
-                  for _ in range(psi.get(lab, 0))]
+    for lab in range(len(demands[0]) if demands else 0):
+        copies = [j for j, psi in enumerate(demands) for _ in range(psi[lab])]
         if copies:
+            rows = [u for u, x in enumerate(labels) if x == lab]
             block = prob.weights.take(rows, 0).take(copies, 1)
             r, c = linear_sum_assignment(block)
             match.update((rows[a], copies[b])
                          for a, b in zip(r.tolist(), c.tolist()))
-    # equal weights tie: move each match to the lowest free position with
-    # the same label and weight, so ties do not hinge on the assignment
-    # code's internal order (one ascending pass reaches the fixed point)
-    free = set(range(len(prob.left))) - match.keys()
+    # equal weights tie: move each match to the lowest free row with the
+    # same label and weight, so ties do not hinge on the assignment code's
+    # internal order (one ascending pass reaches the fixed point)
+    free = set(range(nl)) - match.keys()
     for u in sorted(match):
         j = match[u]
         v = min((v for v in free if v < u and labels[v] == labels[u]
@@ -153,24 +158,23 @@ def solve_bmatching(prob: BMatchingProblem) -> BMatchingSolution:
         if v != u:
             free ^= {u, v}
             match[v] = match.pop(u)
-    edges = []
+    rows = tuple(sorted(match))
+    cols = tuple(match[u] for u in rows)
     weight = 0.0
-    for u, j in sorted(match.items()):
-        edges.append((prob.left[u], prob.right[j]))
+    for u, j in zip(rows, cols):
         weight += float(prob.weights[u, j])
-    matched = frozenset(u for u, _ in edges)
-    return BMatchingSolution(tuple(edges), weight, matched)
+    return BMatchingSolution(rows, cols, weight)
 
 
 def nearest_orders(
         weights: np.ndarray,
-        left_labels: Sequence[str] | None = None) -> list[np.ndarray]:
-    """Left positions by (weight, position), one order per right vertex.
+        left_labels: Sequence[int] | None = None) -> list[np.ndarray]:
+    """Left rows by (weight, row), one order per right vertex.
 
     With ``left_labels``, one order per (right vertex, label) pair, each
-    holding only that label's positions. The orders depend on the weights
-    alone, so a caller that removes different left vertices from one
-    weight block can sort once and select many times.
+    holding only that label's rows. The orders depend on the weights
+    alone, so a caller that removes different left rows from one weight
+    block can sort once and select many times.
     """
     nl, nr = weights.shape
     if left_labels is None:
@@ -185,8 +189,8 @@ def nearest_orders(
 
 def select_nearest(orders: Sequence[np.ndarray], keep_count: int,
                    excluded: AbstractSet[int] = frozenset()) -> list[int]:
-    """Sorted union of each order's first ``keep_count`` positions that are
-    not in ``excluded``; the pruning rule of ``prune_left``."""
+    """Sorted union of each order's first ``keep_count`` rows that are not
+    in ``excluded``; the pruning rule of ``prune_left``."""
     keep: set[int] = set()
     for order in orders:
         head = order[:keep_count + len(excluded)].tolist()
@@ -194,24 +198,25 @@ def select_nearest(orders: Sequence[np.ndarray], keep_count: int,
     return sorted(keep)
 
 
-def prune_left(prob: BMatchingProblem, m: int) -> BMatchingProblem:
-    """Restrict the left side to each right vertex's nearest clients.
+def prune_left(prob: BMatchingProblem,
+               m: int) -> tuple[list[int], BMatchingProblem]:
+    """Restrict the left side to each right vertex's nearest rows; return
+    the kept rows of ``prob`` in ascending order and the problem on them.
 
-    Keeping the max(m, total demand) nearest left vertices per right vertex
+    Keeping the max(m, total demand) nearest left rows per right vertex
     (per (right, label) pair in the labelled case) preserves the optimum:
-    if an optimal matching used a discarded vertex, some kept-and-unmatched
-    vertex at no greater weight could replace it. The pruned problem has at
-    most |right| * max(m, total demand) left vertices (times the number of
-    labels when labelled).
+    if an optimal matching used a discarded row, some kept-and-unmatched
+    row at no greater weight could replace it. The pruned problem has at
+    most |right| * max(m, total demand) left rows (times the number of
+    labels when labelled); when ``prob`` has no more rows than that, it is
+    returned as it is.
     """
     keep_count = max(m, prob.total_demand)
-    if len(prob.left) <= keep_count:
-        return prob
+    if len(prob.weights) <= keep_count:
+        return list(range(len(prob.weights))), prob
     kept = select_nearest(nearest_orders(prob.weights, prob.left_labels),
                           keep_count)
-    return BMatchingProblem(
-        left=tuple(prob.left[u] for u in kept),
-        right=prob.right,
+    return kept, BMatchingProblem(
         weights=prob.weights[kept, :],
         demands=prob.demands,
         left_labels=(tuple(prob.left_labels[u] for u in kept)

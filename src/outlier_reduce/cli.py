@@ -188,23 +188,27 @@ def cmd_eval(args) -> int:
 def cmd_bmatch(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
-    weights = np.asarray(data["weights"], dtype=float)
-    nl, nr = weights.shape
-    label_demands = data.get("label_demands")
+    labels, psis = data.get("left_labels"), data.get("label_demands")
+    # the engine takes label codes: sorted names over rows and demands, so a
+    # demanded label that no row carries has a code and no rows (JSON keys
+    # are strings, so rows may carry labels of another type)
+    names = sorted(set(labels or ()).union(*(psis or ())), key=str)
+    code = {name: c for c, name in enumerate(names)}
     prob = BMatchingProblem(
-        left=tuple(range(nl)), right=tuple(range(nr)), weights=weights,
+        weights=np.asarray(data["weights"], dtype=float),
         demands=tuple(int(t) for t in data["demands"]),
-        left_labels=(tuple(data["left_labels"])
-                     if "left_labels" in data else None),
-        label_demands=(tuple({k: int(v) for k, v in psi.items()}
-                             for psi in label_demands)
-                       if label_demands is not None else None))
+        left_labels=(None if labels is None
+                     else tuple(code[lab] for lab in labels)),
+        label_demands=(None if psis is None
+                       else tuple(tuple(int(psi.get(name, 0))
+                                        for name in names) for psi in psis)))
     try:
         sol = solve_bmatching(prob)
     except BMatchingInfeasible as exc:
-        log.error("%s", exc)
+        log.error("%s", exc if exc.label is None
+                  else f"label {names[exc.label]!r}: {exc.reason}")
         return EXIT_INFEASIBLE
-    _emit({"edges": [list(e) for e in sol.edges],
+    _emit({"edges": [[u, j] for u, j in zip(sol.rows, sol.cols)],
            "total_weight": sol.total_weight}, args.out)
     return EXIT_OK
 

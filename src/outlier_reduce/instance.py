@@ -235,10 +235,12 @@ class ClusteringInstance:
 
         self.label_names = (tuple(sorted(set(self.labels)))
                             if self.labels is not None else None)
-        # the labels whose count windows can bind: every label present, and
-        # any that an integral minimum names, which no cluster can then meet
+        # the labels whose counts can bind: every label present, any that
+        # an integral minimum names, which no cluster can then meet, and any
+        # with a positive outlier quota, which no outlier set can then meet
         self.windowed_labels = (tuple(sorted(
-            set(self.label_names) | set(constraint.min_per_label or {})))
+            set(self.label_names) | set(constraint.min_per_label or {})
+            | {lab for lab, c in (constraint.quota or {}).items() if c > 0}))
             if self.labels is not None else None)
         # each client's label as its index into (sorted) windowed_labels
         self.label_codes = None

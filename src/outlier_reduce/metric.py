@@ -29,8 +29,6 @@ __all__ = [
     "euclidean_space",
     "matrix_space",
     "ulam_space",
-    "matrix_space_from_csv",
-    "ulam_space_from_file",
     "ulam_distance",
 ]
 
@@ -196,23 +194,4 @@ def ulam_space(perms: Sequence[Sequence[int]], z: int, perm_len: int) -> MetricS
         table.append(t)
     arr = np.array(table, dtype=np.intp).reshape(len(table), perm_len)
     return MetricSpace("ulam", z, perms=arr, perm_len=perm_len)
-
-
-def matrix_space_from_csv(path: str, z: int) -> MetricSpace:
-    """Load an n x n distance matrix from CSV (n rows of n reals)."""
-    dmat = np.loadtxt(path, delimiter=",", ndmin=2)
-    return matrix_space(dmat, z)
-
-
-def ulam_space_from_file(path: str, z: int) -> MetricSpace:
-    """Load permutations, one per line, space-separated 1-based integers."""
-    perms = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                perms.append(tuple(int(tok) for tok in line.split()))
-    if not perms:
-        raise ValueError(f"no permutations in {path}")
-    return ulam_space(perms, z, perm_len=len(perms[0]))
 

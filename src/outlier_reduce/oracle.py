@@ -78,7 +78,8 @@ def exact_outlier_opt(inst: ClusteringInstance,
     budget.admit(inst)
     best: tuple[float, Solution] | None = None
     for removed in _outlier_sets(inst):
-        problem = OutlierFreeProblem.without(inst, removed)
+        problem = OutlierFreeProblem.without(
+            inst, [inst.xpos[x] for x in removed])
         result = solve_exact(problem)
         if result is not None and (best is None
                                    or result.cost < best[0] - 1e-12):

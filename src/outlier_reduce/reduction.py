@@ -10,15 +10,19 @@ union of Y and the matched points is discarded, and the pluggable solver
 clusters the rest. The cheapest feasible solution over all pairs wins.
 
 What does not depend on the pair is prepared once per run: the X x
-anchors cost block, and each anchor's clients (per label when labelled)
-sorted by (cost, position). A pair's matching then takes the first
-max(m, sum(tau)) entries of each order that are not in Y, the left side
-that pruning the pair's full problem would keep, and its residual reaches
-the solver as positions into X (``OutlierFreeProblem.rows``). The time
-spent preparing counts toward the matching stage. A plugin answers in
-positions too: facility columns and an assignment array. The driver
-re-checks its shape, counts and cost on arrays, and builds frozensets of
-refs only for a result that becomes the incumbent.
+anchors cost block, each client's label code (its index into
+``label_names``, the order of ``tau.psi``), and each anchor's clients (per
+label when labelled) sorted by (cost, position). A pair's matching then
+takes the first max(m, sum(tau)) entries of each order that are not in Y,
+the left side that pruning the pair's full problem would keep, and
+matches on those rows with tau's counts as they are. The pair's removed
+set is a sorted tuple of X positions, Y's and the matched rows'; it keys
+the solver cache, and its complement reaches the solver as positions
+(``OutlierFreeProblem.rows``). The time spent preparing counts toward the
+matching stage. A plugin answers in positions too: facility columns and
+an assignment array. The driver re-checks its shape, counts and cost on
+arrays, and builds refs and frozensets only for a result that becomes
+the incumbent: its clusters and its outliers.
 
 Points of Y never appear on the matching's left side, so no point is
 removed twice. Duplicate pool draws collapse before subset enumeration;
@@ -185,43 +189,38 @@ class _Prepared:
     """Pair-independent state of one run, built once before the pairs.
 
     The X x anchors block is taken once from the instance's X x F block,
-    and each anchor's clients (per label when labelled) are sorted once by
-    (weight, position). A pair's matching problem takes, per order, the
-    first entries outside Y; that is the left side ``prune_left`` keeps on
-    the pair's full problem (X minus Y against the anchors), because
-    removing Y keeps the clients in X order.
+    each client's label is coded once by its index into ``label_names``
+    (the order of ``tau.psi``), and each anchor's clients (per label when
+    labelled) are sorted once by (weight, position). A pair's matching
+    problem takes, per order, the first entries outside Y; that is the left
+    side ``prune_left`` keeps on the pair's full problem (X minus Y against
+    the anchors), because removing Y keeps the clients in X order.
     """
 
     def __init__(self, inst: ClusteringInstance, anchors: AnchorSet,
                  labelled: bool):
         self.inst = inst
-        self.right = anchors.centers
-        self.labels = inst.labels if labelled else None
-        self.weights = inst.pow_xf[:, [inst.fpos[f] for f in self.right]]
-        self.orders = nearest_orders(self.weights, self.labels)
+        self.weights = inst.pow_xf[:, [inst.fpos[f] for f in anchors.centers]]
+        self.codes = (np.searchsorted(inst.label_names, inst.labels).tolist()
+                      if labelled else None)
+        self.orders = nearest_orders(self.weights, self.codes)
 
-    def matching_problem(self, Y: tuple[int, ...],
-                         tau: ValidTuple) -> BMatchingProblem:
-        """The pair's b-matching, pruned as ``prune_left(..., m)`` would.
+    def matching_problem(self, excluded: set[int], tau: ValidTuple
+                         ) -> tuple[list[int], BMatchingProblem]:
+        """The X positions of the pair's left rows, ascending, and its
+        b-matching on them, pruned as ``prune_left(..., m)`` would; Y is
+        given as the positions ``excluded``.
 
         When at most max(m, sum(tau)) clients remain outside Y, each order
         yields all of its clients outside Y: nothing is pruned, as in
         prune_left.
         """
-        inst = self.inst
-        kept = select_nearest(self.orders, max(inst.m, sum(tau.t)),
-                              {inst.xpos[y] for y in Y})
-        left = tuple(inst.X[u] for u in kept)
-        weights = self.weights[kept]
-        if self.labels is None:
-            return BMatchingProblem(left=left, right=self.right,
-                                    weights=weights, demands=tau.t)
-        label_demands = tuple(dict(zip(inst.label_names, psi_j))
-                              for psi_j in tau.psi)
-        return BMatchingProblem(
-            left=left, right=self.right, weights=weights,
-            demands=tau.t, left_labels=tuple(self.labels[u] for u in kept),
-            label_demands=label_demands)
+        kept = select_nearest(self.orders, max(self.inst.m, sum(tau.t)),
+                              excluded)
+        labels = (None if self.codes is None
+                  else tuple(self.codes[u] for u in kept))
+        return kept, BMatchingProblem(self.weights[kept], tau.t, labels,
+                                      tau.psi)
 
 
 def _validate_plugin_output(problem: OutlierFreeProblem, result) -> None:
@@ -295,25 +294,28 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
                                                num_labels)]
     q = len(pairs)
 
-    # removed set -> its cost, or None when the solver found it infeasible
-    solver_cache: dict[frozenset[int], float | None] = {}
+    # removed positions -> their cost, or None when the solver found none
+    solver_cache: dict[tuple[int, ...], float | None] = {}
     timings = {"baseline": t_baseline, "sampling": t_sampling,
                "matching": t_prepare, "solver": 0.0}
     records: list[IterationRecord] = []
     best: tuple[Solution, tuple[int, ...], ValidTuple] | None = None
     for index, (Y, tau) in enumerate(pairs):
         start = time.perf_counter()
+        ypos = [inst.xpos[y] for y in Y]
+        kept, pair_problem = prepared.matching_problem(set(ypos), tau)
         try:
-            matching = solve_bmatching(prepared.matching_problem(Y, tau))
+            matching = solve_bmatching(pair_problem)
         except BMatchingInfeasible:
             t_match = time.perf_counter() - start
             timings["matching"] += t_match
             records.append(IterationRecord(index, Y, tau, None, None, False,
                                            t_match))
             continue
+        # the pair's removed set: Y and the matched rows, as X positions
+        removed = tuple(sorted(ypos + [kept[u] for u in matching.rows]))
         ts = time.perf_counter()
         timings["matching"] += ts - start
-        removed = frozenset(Y) | matching.matched_left
         if removed in solver_cache:
             cost = solver_cache[removed]
         else:
@@ -325,9 +327,10 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
                 # a tie keeps the earlier pair: the winner is the first
                 # cheapest pair in index order
                 if best is None or cost < best[0].cost:
-                    best = (Solution(removed, problem.clusters_of(
-                        np.asarray(result.assign)), tuple(
-                            inst.F[j] for j in result.cols), cost), Y, tau)
+                    best = (Solution(
+                        frozenset(inst.X[u] for u in removed),
+                        problem.clusters_of(np.asarray(result.assign)),
+                        tuple(inst.F[j] for j in result.cols), cost), Y, tau)
             solver_cache[removed] = cost
         end = time.perf_counter()
         timings["solver"] += end - ts

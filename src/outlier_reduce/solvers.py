@@ -98,9 +98,9 @@ class OutlierFreeProblem:
 
     @classmethod
     def without(cls, inst: ClusteringInstance, removed) -> OutlierFreeProblem:
-        """The problem on the clients of X not in the refs ``removed``."""
-        return cls(inst, np.delete(np.arange(inst.n),
-                                   [inst.xpos[x] for x in removed]))
+        """The problem on the clients of X outside the positions
+        ``removed``, in X order."""
+        return cls(inst, np.delete(np.arange(inst.n), removed))
 
     def clusters_of(self, assign: np.ndarray) -> tuple[frozenset[int], ...]:
         """The k clusters of refs; row u joins cluster ``assign[u]``."""

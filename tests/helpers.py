@@ -17,7 +17,9 @@ the blocks that spaces now compute on demand, bitwise.
 ``reference_check`` is the earlier feasibility predicate, which compared
 fractional windows by cross-multiplication and branched on each kind
 itself; it checks that ``check``, now reading the constraint's count
-windows, accepts the same clusterings. ``residual_problem`` builds the
+windows, accepts the same clusterings. It and ``brute_assignment`` test an
+outlier quota over every label present or named by the quota, as the
+oracle does, so a positive quota for a label no client carries fails. ``residual_problem`` builds the
 solver's positional problem from a tuple of refs, as the references and
 tests name residuals.
 """
@@ -160,7 +162,7 @@ def reference_check(inst: ClusteringInstance, clusters, centers) -> bool:
             clustered.update(c)
         outliers = [x for x in inst.X if x not in clustered]
         counts = _reference_label_counts(inst, outliers)
-        for lab in inst.label_names:
+        for lab in set(inst.label_names) | set(spec.quota):
             if counts.get(lab, 0) != spec.quota.get(lab, 0):
                 return False
         return True
@@ -181,18 +183,16 @@ def random_bmatching_problem(rng, labelled=False, max_left=8, max_right=3,
     left_labels = label_demands = None
     if labelled:
         num_labels = int(rng.integers(1, max_labels + 1))
-        left_labels = tuple(f"L{int(rng.integers(0, num_labels))}"
+        left_labels = tuple(int(rng.integers(0, num_labels))
                             for _ in range(nl))
         label_demands = []
         for t in demands:
-            psi = {}
+            psi = [0] * num_labels
             for _ in range(t):
-                lab = f"L{int(rng.integers(0, num_labels))}"
-                psi[lab] = psi.get(lab, 0) + 1
-            label_demands.append(psi)
+                psi[int(rng.integers(0, num_labels))] += 1
+            label_demands.append(tuple(psi))
         label_demands = tuple(label_demands)
-    return BMatchingProblem(left=tuple(range(nl)), right=tuple(range(nr)),
-                            weights=weights, demands=tuple(demands),
+    return BMatchingProblem(weights=weights, demands=tuple(demands),
                             left_labels=left_labels,
                             label_demands=label_demands)
 
@@ -202,21 +202,21 @@ def ssp_bmatching(prob):
 
     Unlabelled: source -> left (1) -> right (1, w) -> sink (t_j). Labelled:
     right vertex j becomes t_j unit copies, each reachable only from left
-    vertices of its label. Returns a ``BMatchingSolution`` whose edges and
-    weight are summed in (left, right) order, or raises
+    vertices of its label. Returns a ``BMatchingSolution`` whose matches
+    are listed and summed in (row, column) order, or raises
     ``BMatchingInfeasible``.
     """
     from outlier_reduce.bmatching import (BMatchingInfeasible,
                                           BMatchingSolution)
     from outlier_reduce.flow import FlowInfeasible, FlowNetwork
 
-    nl = len(prob.left)
+    nl = len(prob.weights)
     if prob.labelled:
         targets = [(j, lab) for j, psi in enumerate(prob.label_demands)
-                   for lab in sorted(psi) for _ in range(psi[lab])]
+                   for lab, cnt in enumerate(psi) for _ in range(cnt)]
         caps = [1] * len(targets)
     else:
-        targets = [(j, None) for j in range(len(prob.right))]
+        targets = [(j, None) for j in range(len(prob.demands))]
         caps = list(prob.demands)
     src, snk = nl + len(targets), nl + len(targets) + 1
     net = FlowNetwork(nl + len(targets) + 2)
@@ -240,10 +240,10 @@ def ssp_bmatching(prob):
     for (u, c), arc in sorted(edge_arcs.items()):
         if net.flow_on(arc) > 0:
             j = targets[c][0]
-            edges.append((prob.left[u], prob.right[j]))
+            edges.append((u, j))
             weight += float(prob.weights[u, j])
-    return BMatchingSolution(tuple(edges), weight,
-                             frozenset(u for u, _ in edges))
+    rows, cols = zip(*edges) if edges else ((), ())
+    return BMatchingSolution(rows, cols, weight)
 
 
 def brute_bmatching(weights, demands, left_labels=None, label_demands=None):
@@ -251,7 +251,7 @@ def brute_bmatching(weights, demands, left_labels=None, label_demands=None):
 
     Enumerates, right vertex by right vertex, every way of granting it
     exactly its demand from the still-unmatched left vertices (respecting
-    per-label counts when given).
+    per-label counts, indexed by label code, when given).
     """
     weights = np.asarray(weights, dtype=float)
     nl, nr = weights.shape
@@ -262,8 +262,7 @@ def brute_bmatching(weights, demands, left_labels=None, label_demands=None):
             yield from itertools.combinations(sorted(available), t)
             return
         pools = []
-        for lab in sorted(label_demands[j]):
-            cnt = label_demands[j][lab]
+        for lab, cnt in enumerate(label_demands[j]):
             members = sorted(u for u in available if left_labels[u] == lab)
             if len(members) < cnt:
                 return
@@ -319,7 +318,7 @@ def brute_assignment(inst: ClusteringInstance, x_prime, centers):
                 lab = label_of_x[x]
                 got[lab] = got.get(lab, 0) + 1
             quota_ok = all(got.get(lab, 0) == spec.quota.get(lab, 0)
-                           for lab in inst.label_names)
+                           for lab in set(inst.label_names) | set(spec.quota))
             if not quota_ok:
                 return None
     elif spec.kind == "capacitated":
@@ -380,22 +379,21 @@ def brute_outlier_opt(inst: ClusteringInstance):
 def build_matching_problem(inst: ClusteringInstance, anchors, Y, tau,
                            labelled: bool):
     """The full b-matching problem of one (Y, tau) pair: X minus Y against
-    the anchors, read from the metric for that pair alone."""
+    the anchors, read from the metric for that pair alone. Returns the
+    refs of its left rows and the problem, whose label codes index
+    ``inst.label_names``."""
     from outlier_reduce.bmatching import BMatchingProblem
 
     yset = set(Y)
     left = tuple(x for x in inst.X if x not in yset)
     weights = inst.space.powered_rows(left, anchors.centers)
     if not labelled:
-        return BMatchingProblem(left=left, right=anchors.centers,
-                                weights=weights, demands=tau.t)
-    label_demands = tuple(dict(zip(inst.label_names, psi_j))
-                          for psi_j in tau.psi)
+        return left, BMatchingProblem(weights=weights, demands=tau.t)
     labels = label_of(inst)
-    left_labels = tuple(labels[x] for x in left)
-    return BMatchingProblem(left=left, right=anchors.centers, weights=weights,
-                            demands=tau.t, left_labels=left_labels,
-                            label_demands=label_demands)
+    left_labels = tuple(inst.label_names.index(labels[x]) for x in left)
+    return left, BMatchingProblem(weights=weights, demands=tau.t,
+                                  left_labels=left_labels,
+                                  label_demands=tau.psi)
 
 
 def reference_reduction(inst: ClusteringInstance, config, plugin):
@@ -438,14 +436,15 @@ def reference_reduction(inst: ClusteringInstance, config, plugin):
     records = []
     best = None
     for index, (Y, tau) in enumerate(pairs):
+        left, full = build_matching_problem(inst, anchors, Y, tau, labelled)
+        kept, pruned = prune_left(full, m)
         try:
-            matching = solve_bmatching(prune_left(
-                build_matching_problem(inst, anchors, Y, tau, labelled), m))
+            matching = solve_bmatching(pruned)
         except BMatchingInfeasible:
             records.append(IterationRecord(index, Y, tau, None, None, False,
                                            0.0))
             continue
-        removed = frozenset(Y) | matching.matched_left
+        removed = frozenset(Y) | {left[kept[u]] for u in matching.rows}
         if removed in solved:
             cost = solved[removed]
         else:

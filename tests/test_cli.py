@@ -238,6 +238,28 @@ def test_bmatch_labelled(tmp_path):
     assert run(["bmatch", "--input", prob]) == 0
 
 
+def test_infeasible_label_shortfall_names_the_label(tmp_path, caplog):
+    # "blue" is demanded but carried by no row: it gets a code and no rows
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({
+        "weights": [[1.0], [2.0]], "demands": [2],
+        "left_labels": ["red", "red"],
+        "label_demands": [{"red": 1, "blue": 1}],
+    }))
+    out = tmp_path / "out.json"
+    assert run(["bmatch", "--input", prob, "--out", out]) == 2
+    assert not out.exists()
+    assert ("label 'blue': demand 1 exceeds 0 available left vertices"
+            in caplog.text)
+    # demand keys are strings, so rows labelled 1 do not serve label "1"
+    prob.write_text(json.dumps({
+        "weights": [[1.0], [2.0]], "demands": [1], "left_labels": [1, 2],
+        "label_demands": [{"1": 1}],
+    }))
+    assert run(["bmatch", "--input", prob, "--out", out]) == 2
+    assert "label '1': demand 1 exceeds 0 available" in caplog.text
+
+
 def test_exit_codes(tmp_path):
     assert run(["solve", "--input", tmp_path / "missing.json"]) == 1
     bad = tmp_path / "bad.json"
@@ -311,6 +333,34 @@ def test_absent_label_minimum_is_infeasible(tmp_path):
                 "--solver", "local-search"]) == 2
     assert run(["oracle", "--input", path, "--out", out]) == 2
     assert not out.exists()
+
+
+def test_absent_quota_label_is_infeasible(tmp_path):
+    # a positive quota for a label no client carries can never be met:
+    # solve, eval and oracle all report no feasible solution
+    path = tmp_path / "absent.json"
+    path.write_text(json.dumps({
+        "metric": {"kind": "euclidean", "dim": 1}, "z": 1,
+        "points": [[0], [1], [5], [6], [20]], "facilities": [[0], [5]],
+        "k": 2, "m": 1, "labels": ["a"] * 5,
+        "constraint": {"kind": "outlier_label_quota",
+                       "quota": {"a": 1, "b": 1}},
+    }))
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", path, "--out", out,
+                "--exhaustive-sample"]) == 2
+    assert run(["oracle", "--input", path, "--out", out]) == 2
+    assert not out.exists()
+    # the clustering that ignores the quota for b: refs 0-1 and 2-3 around
+    # the facilities at 0 and 5, the point at 20 the one outlier
+    out.write_text(json.dumps({
+        "cost": 2.0, "centers": [0, 2], "clusters": [[0, 1], [2, 3]],
+        "outliers": [4]}))
+    report = tmp_path / "report.json"
+    assert run(["eval", "--instance", path, "--solution", out,
+                "--out", report]) == 2
+    assert json.loads(report.read_text())["violations"] == [
+        "check() rejects the clustering"]
 
 
 def test_fractional_budget_exits_3_without_advice(tmp_path, caplog):

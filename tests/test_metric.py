@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from outlier_reduce import metric
 from outlier_reduce.metric import (euclidean_space, matrix_space,
-                                   matrix_space_from_csv, ulam_distance,
-                                   ulam_space, ulam_space_from_file)
+                                   ulam_distance, ulam_space)
 from outlier_reduce.oracle import ulam_bfs
 
 from helpers import reference_powered_table
@@ -145,25 +144,6 @@ def test_ulam_space_table():
     assert space.distance(1, 1) == 0.0
     with pytest.raises(ValueError):
         ulam_space([(1, 2)], z=1, perm_len=3)
-
-
-def test_matrix_from_csv(tmp_path):
-    path = tmp_path / "dist.csv"
-    path.write_text("0.0,2.0\n2.0,0.0\n")
-    space = matrix_space_from_csv(str(path), z=2)
-    assert space.powered(0, 1) == 4.0
-
-
-def test_ulam_space_from_file(tmp_path):
-    path = tmp_path / "perms.txt"
-    path.write_text("1 2 3\n3 1 2\n\n3 2 1\n")
-    space = ulam_space_from_file(str(path), z=1)
-    assert space.size == 3
-    assert space.distance(0, 2) == 2.0
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    with pytest.raises(ValueError):
-        ulam_space_from_file(str(empty), z=1)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1100), (2, 800), (9, 400)])

@@ -1,14 +1,16 @@
+import importlib
 import math
 import sys
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from outlier_reduce import reduction, solvers
 from outlier_reduce.baseline import AnchorSet
-from outlier_reduce.bmatching import prune_left
+from outlier_reduce.bmatching import prune_left, solve_bmatching
 from outlier_reduce.instance import instance_from_dict, validate_solution
 from outlier_reduce.oracle import exact_outlier_opt
 from outlier_reduce.reduction import (PluginContractError, ReductionConfig,
@@ -324,7 +326,8 @@ def tie_heavy_instances():
 
 def test_prepared_matching_matches_prune_left():
     # the pair's pruned problem from the run's precomputed orders equals
-    # prune_left of that pair's full problem, field for field
+    # prune_left of that pair's full problem, field for field, and keeps
+    # the same clients
     rng = np.random.default_rng(62)
     seen = {"labelled": 0, "full_Y": 0, "no_prune": 0, "pruned": 0}
     for inst, labelled in tie_heavy_instances():
@@ -340,11 +343,13 @@ def test_prepared_matching_matches_prune_left():
                                                         replace=False)))
             taus = list(enumerate_valid_tuples(m - size, count, num_labels))
             tau = taus[int(rng.integers(0, len(taus)))]
-            got = prepared.matching_problem(Y, tau)
-            full = build_matching_problem(inst, anchors, Y, tau, labelled)
-            want = prune_left(full, m)
-            assert got.left == want.left
-            assert got.right == want.right
+            got_kept, got = prepared.matching_problem(
+                {inst.xpos[y] for y in Y}, tau)
+            left, full = build_matching_problem(inst, anchors, Y, tau,
+                                                labelled)
+            want_kept, want = prune_left(full, m)
+            assert [inst.X[u] for u in got_kept] == [left[u]
+                                                     for u in want_kept]
             assert got.weights.dtype == want.weights.dtype
             assert got.weights.shape == want.weights.shape
             assert got.weights.tobytes() == want.weights.tobytes()
@@ -354,7 +359,7 @@ def test_prepared_matching_matches_prune_left():
             seen["labelled"] += labelled
             seen["full_Y"] += size == m
             seen["no_prune"] += want is full
-            seen["pruned"] += len(want.left) < len(full.left)
+            seen["pruned"] += len(want_kept) < len(left)
     assert min(seen.values()) >= 10, seen
 
 
@@ -495,3 +500,31 @@ def test_quota_is_tested_once_per_solver_call(monkeypatch):
         scored = counted["bounds"] + counted["assign"]
         assert (scored > before["bounds"] + before["assign"]) == feasible
         assert counted["quota"] == before["quota"] + 2
+
+
+def test_tracer_hooks_resolve_and_see_every_pair(monkeypatch):
+    # bench/tracing.py wraps entry points by (owner, attribute): each must
+    # still exist, and the driver must reach solve_bmatching through the
+    # reduction module's name, once per pair, failed matchings included
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    for owner, attr, _, _ in tracing.PATCHES:
+        assert callable(getattr(owner, attr, None)), (owner, attr)
+    inst = line_instance([0, 1, 2, 10, 11, 30], k=2, m=2,
+                         labels=["a", "a", "a", "b", "a", "a"],
+                         constraint={"kind": "label_bounds",
+                                     "max_per_label": {"b": 1}})
+    want = run_reduction(inst, exhaustive_config(), EXACT)
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return solve_bmatching(problem)
+
+    monkeypatch.setattr(reduction, "solve_bmatching", counting)
+    got = run_reduction(inst, exhaustive_config(), EXACT)
+    assert len(calls) == got.q == len(got.records)
+    assert any(r.matching_weight is None for r in got.records)
+    assert run_fields(got.records, got.solution, got.chosen_Y,
+                      got.chosen_tau, got.q) == run_fields(
+        want.records, want.solution, want.chosen_Y, want.chosen_tau, want.q)

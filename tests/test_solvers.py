@@ -412,8 +412,8 @@ def test_problem_from_rows_alone():
             == inst.space.powered_rows(keep, inst.F).tobytes())
     assert rows_problem(inst, []).X_prime == ()
     assert rows_problem(inst, []).weight_matrix().shape == (0, 2)
-    # the driver's residual: X without a removed set, in X order
-    without = OutlierFreeProblem.without(inst, {inst.X[1], inst.X[2]})
+    # the driver's residual: X without removed positions, in X order
+    without = OutlierFreeProblem.without(inst, (1, 2))
     assert without.rows.dtype == np.intp and without.rows.tolist() == [0, 3, 4]
 
 

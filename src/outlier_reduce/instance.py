@@ -5,8 +5,11 @@ X ∪ F, the client list X, the candidate-center list F, the cluster count
 k, the outlier budget m, optional per-client labels, and a declarative
 constraint. Feasibility (``check_counts``) depends only on cluster sizes,
 per-(cluster, label) and outlier label counts and the centers' facility
-columns; ``check`` counts a clustering given as sets of refs. The cost is
-the sum of powered distances from each clustered point to its center.
+columns. The cost is the sum of powered distances from each clustered
+point to its center. The driver's check of a plugin answer and ``eval``'s
+share three helpers on X positions ``rows`` (ascending) and an ``assign``
+array: ``clustering_counts``, ``clustering_cost`` and the one cost rule
+``cost_agrees``; ``check`` and ``cost`` turn ref clusters into that form.
 
 Every count rule lives in ``ConstraintSpec``: ``size_windows`` gives the
 per-cluster size windows of centers at given facility columns, and
@@ -302,35 +305,54 @@ def check_counts(inst: ClusteringInstance, cols: Iterable[int],
     return True
 
 
+def clustering_counts(inst: ClusteringInstance, rows: np.ndarray,
+                      assign: np.ndarray):
+    """``check_counts``' sizes, label and outlier counts when client
+    ``X[rows[u]]`` joins cluster ``assign[u]``; the rest are outliers."""
+    sizes = np.bincount(assign, minlength=inst.k)
+    if inst.labels is None:
+        return sizes, None, None
+    codes, k, nl = inst.label_codes, inst.k, len(inst.windowed_labels)
+    return (sizes, np.bincount(assign * nl + codes[rows],
+                               minlength=k * nl).reshape(k, nl),
+            np.bincount(np.delete(codes, rows), minlength=nl))
+
+
+def clustering_cost(inst: ClusteringInstance, rows: np.ndarray,
+                    assign: np.ndarray, cols: np.ndarray) -> float:
+    """Cost when client ``X[rows[u]]`` is served from facility column
+    ``cols[assign[u]]``, summed in ``rows`` order (callers: ascending)."""
+    return float(inst.pow_xf[rows, cols[assign]].sum())
+
+
+def cost_agrees(stated: float, recomputed: float) -> bool:
+    """The one cost rule: relative 1e-9, ``COST_ATOL`` the floor near 0."""
+    return math.isclose(stated, recomputed, rel_tol=1e-9, abs_tol=COST_ATOL)
+
+
+def _positions(inst: ClusteringInstance, clusters: Sequence[Iterable[int]]):
+    """(rows ascending, assign) of k collections of client refs."""
+    pairs = sorted({(inst.xpos[x], i)
+                    for i, members in enumerate(clusters) for x in members})
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
 def check(inst: ClusteringInstance, clusters: Sequence[Iterable[int]],
           centers: Sequence[int]) -> bool:
     """``check_counts`` for k collections of client refs and k center refs;
     the outliers are the clients in no cluster."""
     if len(clusters) != inst.k or len(centers) != inst.k:
         raise ValueError(f"expected {inst.k} clusters and centers")
-    members = [set(c) for c in clusters]
-    label_counts = outlier_counts = None
-    if inst.labels is not None:
-        clustered = set().union(*members)
-        *label_counts, outlier_counts = [
-            np.bincount(inst.label_codes[[inst.xpos[x] for x in part]],
-                        minlength=len(inst.windowed_labels))
-            for part in members + [[x for x in inst.X if x not in clustered]]]
     # lazy, so that kinds which ignore centers never look them up
     return check_counts(inst, (inst.fpos[f] for f in centers),
-                        [len(c) for c in members], label_counts,
-                        outlier_counts)
+                        *clustering_counts(inst, *_positions(inst, clusters)))
 
 
 def cost(inst: ClusteringInstance, clusters: Sequence[Iterable[int]],
          centers: Sequence[int]) -> float:
     """Sum of powered distances from each clustered point to its own center."""
-    total = 0.0
-    for members, f in zip(clusters, centers):
-        j = inst.fpos[f]
-        for x in members:
-            total += inst.pow_xf[inst.xpos[x], j]
-    return float(total)
+    return clustering_cost(inst, *_positions(inst, clusters), np.array(
+        [inst.fpos[f] for f in centers], dtype=np.intp))
 
 
 def validate_solution(inst: ClusteringInstance, sol: Solution) -> ValidationReport:
@@ -365,7 +387,7 @@ def validate_solution(inst: ClusteringInstance, sol: Solution) -> ValidationRepo
     if not check(inst, sol.clusters, sol.centers):
         violations.append("check() rejects the clustering")
     recomputed = cost(inst, sol.clusters, sol.centers)
-    if abs(recomputed - sol.cost) > COST_ATOL:
+    if not cost_agrees(sol.cost, recomputed):
         violations.append(
             f"cost mismatch: stated {sol.cost}, recomputed {recomputed}")
     return ValidationReport(not violations, recomputed, violations)

@@ -4,7 +4,7 @@
 each residual instance exactly, so its output is the true optimum the
 reduction is measured against. It deliberately shares nothing with the
 reduction pipeline beyond the cost/check primitives and the exact
-fixed-center assignment. ``ulam_bfs`` independently recomputes the
+solver with its ``solution_of``. ``ulam_bfs`` independently recomputes the
 permutation move distance by breadth-first search over states.
 """
 
@@ -83,9 +83,7 @@ def exact_outlier_opt(inst: ClusteringInstance,
         result = solve_exact(problem)
         if result is not None and (best is None
                                    or result.cost < best[0] - 1e-12):
-            best = (result.cost, Solution(
-                frozenset(removed), problem.clusters_of(result.assign),
-                tuple(inst.F[j] for j in result.cols), result.cost))
+            best = (result.cost, problem.solution_of(result))
     if best is None:
         raise ValueError("instance is infeasible for every outlier choice")
     return best

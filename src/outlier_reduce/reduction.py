@@ -13,16 +13,16 @@ What does not depend on the pair is prepared once per run: the X x
 anchors cost block, each client's label code (its index into
 ``label_names``, the order of ``tau.psi``), and each anchor's clients (per
 label when labelled) sorted by (cost, position). A pair's matching then
-takes the first max(m, sum(tau)) entries of each order that are not in Y,
-the left side that pruning the pair's full problem would keep, and
+takes the first m entries of each order that are not in Y, the left side
+that pruning the pair's full problem keeps (tau sums to m - |Y|), and
 matches on those rows with tau's counts as they are. The pair's removed
 set is a sorted tuple of X positions, Y's and the matched rows'; it keys
 the solver cache, and its complement reaches the solver as positions
 (``OutlierFreeProblem.rows``). The time spent preparing counts toward the
 matching stage. A plugin answers in positions too: facility columns and
-an assignment array. The driver re-checks its shape, counts and cost on
-arrays, and builds refs and frozensets only for a result that becomes
-the incumbent: its clusters and its outliers.
+an assignment array. The driver re-checks its shape, then its counts and
+cost with ``eval``'s helpers, and builds refs and frozensets only for a
+result that becomes the incumbent (``OutlierFreeProblem.solution_of``).
 
 Points of Y never appear on the matching's left side, so no point is
 removed twice. Duplicate pool draws collapse before subset enumeration;
@@ -56,8 +56,8 @@ from .baseline import AnchorSet, solve_unconstrained
 # reduction.check by name
 from .bmatching import (BMatchingInfeasible, BMatchingProblem, nearest_orders,
                         prune_left, select_nearest, solve_bmatching)
-from .instance import ClusteringInstance, Solution, check, check_counts
-from .metric import COST_ATOL
+from .instance import (ClusteringInstance, Solution, check, check_counts,
+                       clustering_cost, clustering_counts, cost_agrees)
 from .sampling import SamplePool, dz_sample, exhaustive_pool, sample_size
 from .solvers import OutlierFreeProblem, SolverPlugin, _compositions
 
@@ -208,15 +208,10 @@ class _Prepared:
     def matching_problem(self, excluded: set[int], tau: ValidTuple
                          ) -> tuple[list[int], BMatchingProblem]:
         """The X positions of the pair's left rows, ascending, and its
-        b-matching on them, pruned as ``prune_left(..., m)`` would; Y is
-        given as the positions ``excluded``.
-
-        When at most max(m, sum(tau)) clients remain outside Y, each order
-        yields all of its clients outside Y: nothing is pruned, as in
-        prune_left.
-        """
-        kept = select_nearest(self.orders, max(self.inst.m, sum(tau.t)),
-                              excluded)
+        b-matching on them; Y is given as the positions ``excluded``. Each
+        order yields its first m clients outside Y, all of them when fewer
+        remain: ``prune_left(..., m)`` keeps max(m, sum(tau)) = m."""
+        kept = select_nearest(self.orders, self.inst.m, excluded)
         labels = (None if self.codes is None
                   else tuple(self.codes[u] for u in kept))
         return kept, BMatchingProblem(self.weights[kept], tau.t, labels,
@@ -226,7 +221,7 @@ class _Prepared:
 def _validate_plugin_output(problem: OutlierFreeProblem, result) -> None:
     """Raise PluginContractError unless ``result`` maps every residual row
     to one of k facility columns, passes ``check_counts`` and costs what it
-    reports."""
+    reports, judged as ``validate_solution`` judges a solution file."""
     inst, k = problem.inst, problem.inst.k
     assign = np.asarray(result.assign)
     cols = np.asarray(result.cols, dtype=np.intp)
@@ -237,18 +232,11 @@ def _validate_plugin_output(problem: OutlierFreeProblem, result) -> None:
         raise PluginContractError("plugin result does not map each residual "
                                   "point to one of k facility columns")
     assign = assign.astype(np.intp, copy=False)
-    label_counts = outlier_counts = None
-    if inst.labels is not None:
-        codes, nl = inst.label_codes, len(inst.windowed_labels)
-        label_counts = np.bincount(assign * nl + codes[problem.rows],
-                                   minlength=k * nl).reshape(k, nl)
-        outlier_counts = (np.bincount(codes, minlength=nl)
-                          - label_counts.sum(axis=0))
-    if not check_counts(inst, cols.tolist(), np.bincount(assign, minlength=k),
-                        label_counts, outlier_counts):
+    if not check_counts(inst, cols.tolist(),
+                        *clustering_counts(inst, problem.rows, assign)):
         raise PluginContractError("plugin clustering fails check()")
-    cost = float(inst.pow_xf[problem.rows, cols[assign]].sum())
-    if not math.isclose(cost, result.cost, rel_tol=1e-9, abs_tol=COST_ATOL):
+    cost = clustering_cost(inst, problem.rows, assign, cols)
+    if not cost_agrees(result.cost, cost):
         raise PluginContractError(
             f"plugin reported cost {result.cost}, its clustering costs {cost}")
 
@@ -327,10 +315,7 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
                 # a tie keeps the earlier pair: the winner is the first
                 # cheapest pair in index order
                 if best is None or cost < best[0].cost:
-                    best = (Solution(
-                        frozenset(inst.X[u] for u in removed),
-                        problem.clusters_of(np.asarray(result.assign)),
-                        tuple(inst.F[j] for j in result.cols), cost), Y, tau)
+                    best = (problem.solution_of(result), Y, tau)
             solver_cache[removed] = cost
         end = time.perf_counter()
         timings["solver"] += end - ts

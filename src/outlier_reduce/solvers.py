@@ -28,8 +28,8 @@ the one a full sweep gives.
 
 A problem is its residual as positions into the parent's X (``rows``),
 and a ``SolverResult`` is facility columns plus an assignment array over
-those rows; ``OutlierFreeProblem.clusters_of`` builds refs and frozensets
-for the few callers that need them. An outlier quota depends on the
+those rows; ``OutlierFreeProblem.clusters_of`` and ``solution_of`` build
+refs for the few callers that need them. An outlier quota depends on the
 residual alone, so each call tests it once and then solves unconstrained.
 
 Anything implementing the one-function plugin signature can replace the
@@ -50,7 +50,8 @@ from scipy.optimize import linear_sum_assignment
 from .flow import FlowInfeasible, solve_transportation
 # check is not called here, but it stays importable from this module:
 # bench/tracing.py wraps solvers.check by name
-from .instance import ClusteringInstance, check, check_counts
+from .instance import (ClusteringInstance, Solution, check, check_counts,
+                       clustering_counts)
 
 __all__ = [
     "OutlierFreeProblem",
@@ -107,6 +108,13 @@ class OutlierFreeProblem:
         refs = self.inst.x_refs[self.rows]
         return tuple(frozenset(refs[assign == i].tolist())
                      for i in range(self.inst.k))
+
+    def solution_of(self, result: SolverResult) -> Solution:
+        """``result`` in refs; the clients outside ``rows`` are outliers."""
+        return Solution(
+            frozenset(np.delete(self.inst.x_refs, self.rows).tolist()),
+            self.clusters_of(np.asarray(result.assign)),
+            tuple(self.inst.F[j] for j in result.cols), result.cost)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,11 +287,9 @@ def _quota_holds(problem: OutlierFreeProblem) -> bool:
     """Whether the residual's outliers meet an ``outlier_label_quota``
     (True for every other kind): the test depends on the residual alone."""
     inst = problem.inst
-    if inst.constraint.kind != "outlier_label_quota":
-        return True
-    outliers = np.bincount(np.delete(inst.label_codes, problem.rows),
-                           minlength=len(inst.windowed_labels))
-    return check_counts(inst, (), (), outlier_counts=outliers)
+    return inst.constraint.kind != "outlier_label_quota" or check_counts(
+        inst, (), *clustering_counts(inst, problem.rows,
+                                     np.zeros(problem.n, dtype=np.intp)))
 
 
 def assign_given_centers(problem: OutlierFreeProblem,

@@ -53,6 +53,23 @@ def test_solve_eval_round_trip(tmp_path):
     assert run(["eval", "--instance", inst, "--solution", sol]) == 0
 
 
+def test_eval_accepts_a_solve_at_a_large_cost_scale(tmp_path):
+    # costs near 1e9: eval's recomputed cost may differ from the stated
+    # one in the last bit, within the driver's relative cost rule
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    assert run(["gen", "--out", inst, "--n", 14, "--k", 2, "--m", 2,
+                "--z", 2, "--seed", 3]) == 0
+    data = json.loads(inst.read_text())
+    for key in ("points", "facilities"):
+        data[key] = [[12345.678 * c for c in p] for p in data[key]]
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--input", inst, "--out", sol,
+                "--exhaustive-sample"]) == 0
+    assert json.loads(sol.read_text())["cost"] > 1e8
+    assert run(["eval", "--instance", inst, "--solution", sol]) == 0
+
+
 def test_solve_m0_single_center(tmp_path):
     inst_path = tmp_path / "inst.json"
     data = {
@@ -361,6 +378,35 @@ def test_absent_quota_label_is_infeasible(tmp_path):
                 "--out", report]) == 2
     assert json.loads(report.read_text())["violations"] == [
         "check() rejects the clustering"]
+
+
+def test_quota_sum_above_budget_is_infeasible(tmp_path, caplog):
+    # quotas for a and b need two outliers, and m = 1: the instance loads
+    # with a warning, and solve, oracle and eval all exit 2
+    path = tmp_path / "quota.json"
+    path.write_text(json.dumps({
+        "metric": {"kind": "euclidean", "dim": 1}, "z": 1,
+        "points": [[0], [1], [5], [6], [20]], "facilities": [[0], [5]],
+        "k": 2, "m": 1, "labels": ["a", "a", "b", "b", "a"],
+        "constraint": {"kind": "outlier_label_quota",
+                       "quota": {"a": 1, "b": 1}},
+    }))
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", path, "--out", out,
+                "--exhaustive-sample"]) == 2
+    assert "outlier label quotas sum beyond the budget m" in caplog.text
+    assert run(["oracle", "--input", path, "--out", out]) == 2
+    assert not out.exists()
+    # the quota met with one a and one b outlier (refs 4 and 3), which
+    # breaks the budget alone
+    out.write_text(json.dumps({
+        "cost": 1.0, "centers": [0, 2], "clusters": [[0, 1], [2]],
+        "outliers": [3, 4]}))
+    report = tmp_path / "report.json"
+    assert run(["eval", "--instance", path, "--solution", out,
+                "--out", report]) == 2
+    assert json.loads(report.read_text())["violations"] == [
+        "outlier budget: |X_0|=2 exceeds m=1"]
 
 
 def test_fractional_budget_exits_3_without_advice(tmp_path, caplog):

@@ -22,7 +22,8 @@ from outlier_reduce.sampling import SamplePool
 from outlier_reduce.solvers import (OutlierFreeProblem, SolverPlugin,
                                     SolverResult, get_plugin, solve_exact,
                                     solve_local_search)
-from outlier_reduce.gen import GeneratorConfig, generate_instance
+from outlier_reduce.gen import (GeneratorConfig, generate_instance,
+                                generate_instance_dict)
 from helpers import (build_matching_problem, line_instance, ref_of,
                      reference_reduction)
 
@@ -119,6 +120,41 @@ def test_output_validates():
     res = run_reduction(inst, exhaustive_config(), EXACT)
     report = validate_solution(inst, res.solution)
     assert report.feasible, report.violations
+
+
+def _scaled(data, s):
+    """The instance dict with every distance multiplied by ``s``."""
+    data = dict(data)
+    if data["metric"]["kind"] == "matrix":
+        data["metric"] = dict(data["metric"], matrix=[
+            [s * d for d in row] for row in data["metric"]["matrix"]])
+    else:
+        for key in ("points", "facilities"):
+            data[key] = [[s * c for c in p] for p in data[key]]
+    return data
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "matrix"])
+@pytest.mark.parametrize("z", [1, 2])
+@pytest.mark.parametrize("kind", ["unconstrained", "capacitated",
+                                  "size_bounds", "label_bounds",
+                                  "outlier_label_quota"])
+def test_scaled_distances_scale_the_solution(kind, z, metric):
+    # s·D keeps the centers and outliers and scales the cost by s^z, and
+    # validate_solution accepts the result at every cost scale
+    for seed in (0, 1):
+        data = generate_instance_dict(GeneratorConfig(
+            n=10, k=2, m=2, z=z, metric=metric, constraint=kind), seed)
+        base = run_reduction(instance_from_dict(data), exhaustive_config(),
+                             EXACT).solution
+        for s in (1000, 12345.678):
+            inst = instance_from_dict(_scaled(data, s))
+            sol = run_reduction(inst, exhaustive_config(), EXACT).solution
+            assert (sol.centers, sol.outliers) == (base.centers,
+                                                   base.outliers)
+            assert sol.cost / s ** z == pytest.approx(base.cost, rel=1e-9)
+            report = validate_solution(inst, sol)
+            assert report.feasible, report.violations
 
 
 def test_records_cover_all_iterations():

@@ -6,7 +6,7 @@ k, the outlier budget m, optional per-client labels, and a declarative
 constraint. Feasibility (``check_counts``) depends only on cluster sizes,
 per-(cluster, label) and outlier label counts and the centers' facility
 columns. The cost is the sum of powered distances from each clustered
-point to its center. The driver's check of a plugin answer and ``eval``'s
+point to its center. The reduction's check of a plugin answer and ``eval``'s
 share three helpers on X positions ``rows`` (ascending) and an ``assign``
 array: ``clustering_counts``, ``clustering_cost`` and the one cost rule
 ``cost_agrees``; ``check`` and ``cost`` turn ref clusters into that form.

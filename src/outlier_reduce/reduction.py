@@ -20,7 +20,7 @@ set is a sorted tuple of X positions, Y's and the matched rows'; it keys
 the solver cache, and its complement reaches the solver as positions
 (``OutlierFreeProblem.rows``). The time spent preparing counts toward the
 matching stage. A plugin answers in positions too: facility columns and
-an assignment array. The driver re-checks its shape, then its counts and
+an assignment array. The reduction re-checks its shape, then its counts and
 cost with ``eval``'s helpers, and builds refs and frozensets only for a
 result that becomes the incumbent (``OutlierFreeProblem.solution_of``).
 

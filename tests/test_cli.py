@@ -55,7 +55,7 @@ def test_solve_eval_round_trip(tmp_path):
 
 def test_eval_accepts_a_solve_at_a_large_cost_scale(tmp_path):
     # costs near 1e9: eval's recomputed cost may differ from the stated
-    # one in the last bit, within the driver's relative cost rule
+    # one in the last bit, within the shared relative cost rule
     inst = tmp_path / "inst.json"
     sol = tmp_path / "sol.json"
     assert run(["gen", "--out", inst, "--n", 14, "--k", 2, "--m", 2,

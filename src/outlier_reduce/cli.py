@@ -26,8 +26,9 @@ import numpy as np
 from .bmatching import (BMatchingInfeasible, BMatchingProblem,
                         solve_bmatching)
 from .gen import GeneratorConfig, generate_instance_dict
-from .instance import (instance_from_dict, load_instance, solution_from_dict,
-                       solution_to_dict, validate_solution)
+from .instance import (improvement_threshold, instance_from_dict,
+                       load_instance, solution_from_dict, solution_to_dict,
+                       validate_solution)
 from .oracle import OracleBudget, OracleBudgetExceeded, exact_outlier_opt
 from .reduction import (ReductionConfig, ReductionInfeasible, run_reduction)
 from .solvers import ExactBudgetExceeded, get_plugin
@@ -116,7 +117,8 @@ def cmd_solve(args) -> int:
             continue
         for stage, secs in result.timings.items():
             stage_times[stage] = stage_times.get(stage, 0.0) + secs
-        if best is None or result.solution.cost < best.solution.cost - 1e-12:
+        if best is None or result.solution.cost < improvement_threshold(
+                best.solution.cost):
             best = result
     wall = time.perf_counter() - started
     if best is None:

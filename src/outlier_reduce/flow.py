@@ -2,9 +2,9 @@
 
 Its one caller is ``solvers._label_window_flow`` (fractional fairness
 windows), through ``solve_transportation``. Small dense graphs only; float
-arc costs must be nonnegative. Reduced costs are compared with a 1e-12
-tolerance, and Dijkstra's heap orders ties by node id, so a given network
-always solves to the same flow. Arc lower bounds are handled by the usual
+arc costs must be nonnegative. Path lengths are compared with a tolerance
+relative to the largest arc cost, and Dijkstra's heap orders ties by node
+id, so a given network always solves to the same flow. Arc lower bounds are handled by the usual
 imbalance transformation.
 """
 
@@ -55,6 +55,7 @@ class FlowNetwork:
         ``amount`` can be routed.
         """
         pot = [0.0] * self.n  # valid initially: all costs nonnegative
+        tol = RC_TOL * max(self.cost, default=0.0)
         pushed = 0
         total = 0.0
         inf = float("inf")
@@ -65,7 +66,7 @@ class FlowNetwork:
             heap = [(0.0, source)]
             while heap:
                 d, u = heapq.heappop(heap)
-                if d > dist[u] + RC_TOL:
+                if d > dist[u] + tol:
                     continue
                 for a in self.head[u]:
                     if self.cap[a] <= 0:
@@ -76,7 +77,7 @@ class FlowNetwork:
                         # float drift only; true negatives cannot occur here
                         rc = 0.0
                     nd = d + rc
-                    if nd < dist[v] - RC_TOL:
+                    if nd < dist[v] - tol:
                         dist[v] = nd
                         prev_arc[v] = a
                         heapq.heappush(heap, (nd, v))

@@ -8,8 +8,12 @@ per-(cluster, label) and outlier label counts and the centers' facility
 columns. The cost is the sum of powered distances from each clustered
 point to its center. The reduction's check of a plugin answer and ``eval``'s
 share three helpers on X positions ``rows`` (ascending) and an ``assign``
-array: ``clustering_counts``, ``clustering_cost`` and the one cost rule
+array: ``clustering_counts``, ``clustering_cost`` and the cost rule
 ``cost_agrees``; ``check`` and ``cost`` turn ref clusters into that form.
+Costs are compared only relatively, by ``COST_RTOL``, so no decision
+changes when every distance is scaled: ``cost_agrees`` for two sums of one
+clustering, and ``improvement_threshold`` in every incumbent test, so a
+near-tie keeps the earlier candidate.
 
 Every count rule lives in ``ConstraintSpec``: ``size_windows`` gives the
 per-cluster size windows of centers at given facility columns, and
@@ -58,7 +62,7 @@ from typing import Any
 
 import numpy as np
 
-from .metric import COST_ATOL, MetricSpace, euclidean_space, matrix_space, ulam_space
+from .metric import MetricSpace, euclidean_space, matrix_space, ulam_space
 
 __all__ = [
     "ConstraintSpec",
@@ -76,6 +80,7 @@ __all__ = [
     "solution_from_dict",
 ]
 
+COST_RTOL = 1e-9
 LABEL_KINDS = frozenset({"label_bounds", "outlier_label_quota"})
 CONSTRAINT_KINDS = frozenset(
     {"unconstrained", "size_bounds", "capacitated"}) | LABEL_KINDS
@@ -326,8 +331,14 @@ def clustering_cost(inst: ClusteringInstance, rows: np.ndarray,
 
 
 def cost_agrees(stated: float, recomputed: float) -> bool:
-    """The one cost rule: relative 1e-9, ``COST_ATOL`` the floor near 0."""
-    return math.isclose(stated, recomputed, rel_tol=1e-9, abs_tol=COST_ATOL)
+    """Whether two sums of one clustering's cost agree, relative to size."""
+    return math.isclose(stated, recomputed, rel_tol=COST_RTOL)
+
+
+def improvement_threshold(incumbent: float) -> float:
+    """What a cost (>= 0) must stay below to beat ``incumbent``: inf for
+    no incumbent yet, 0 for an incumbent of cost 0, which nothing beats."""
+    return incumbent * (1.0 - COST_RTOL)
 
 
 def _positions(inst: ClusteringInstance, clusters: Sequence[Iterable[int]]):

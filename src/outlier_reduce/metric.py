@@ -32,7 +32,7 @@ __all__ = [
     "ulam_distance",
 ]
 
-# Absolute tolerance for cost comparisons across the package.
+# Absolute tolerance of the matrix and triangle input checks.
 COST_ATOL = 1e-9
 # Elements in the temporaries of one row slice of a computed block.
 BLOCK_ELEMENTS = 1 << 20

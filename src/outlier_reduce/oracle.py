@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .instance import ClusteringInstance, Solution
+from .instance import ClusteringInstance, Solution, improvement_threshold
 from .solvers import OutlierFreeProblem, solve_exact
 
 __all__ = ["OracleBudget", "OracleBudgetExceeded", "exact_outlier_opt",
@@ -76,15 +76,14 @@ def exact_outlier_opt(inst: ClusteringInstance,
     solution exists at all.
     """
     budget.admit(inst)
-    best: tuple[float, Solution] | None = None
+    best: tuple[float, Solution | None] = (float("inf"), None)
     for removed in _outlier_sets(inst):
         problem = OutlierFreeProblem.without(
             inst, [inst.xpos[x] for x in removed])
         result = solve_exact(problem)
-        if result is not None and (best is None
-                                   or result.cost < best[0] - 1e-12):
+        if result is not None and result.cost < improvement_threshold(best[0]):
             best = (result.cost, problem.solution_of(result))
-    if best is None:
+    if best[1] is None:
         raise ValueError("instance is infeasible for every outlier choice")
     return best
 

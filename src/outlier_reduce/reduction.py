@@ -29,7 +29,7 @@ removed twice. Duplicate pool draws collapse before subset enumeration;
 identical Y sets would produce identical subinstances. Pairs that remove
 the same set share one solver call; only the set's cost is kept, since a
 later pair ties in cost and loses on index. Pairs run serially in index
-order, and the winner is the first pair of least cost.
+order; a pair wins only by beating the best's ``improvement_threshold``.
 ``ReductionConfig.parallel`` is still accepted, but every setting runs
 the same serial loop, so outputs do not depend on it.
 
@@ -57,7 +57,8 @@ from .baseline import AnchorSet, solve_unconstrained
 from .bmatching import (BMatchingInfeasible, BMatchingProblem, nearest_orders,
                         prune_left, select_nearest, solve_bmatching)
 from .instance import (ClusteringInstance, Solution, check, check_counts,
-                       clustering_cost, clustering_counts, cost_agrees)
+                       clustering_cost, clustering_counts, cost_agrees,
+                       improvement_threshold)
 from .sampling import SamplePool, dz_sample, exhaustive_pool, sample_size
 from .solvers import OutlierFreeProblem, SolverPlugin, _compositions
 
@@ -74,8 +75,6 @@ __all__ = [
     "enumerate_valid_tuples",
     "run_reduction",
 ]
-
-COST_ZERO_ATOL = 1e-12
 
 log = logging.getLogger("outlier_reduce.reduction")
 
@@ -288,6 +287,7 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
                "matching": t_prepare, "solver": 0.0}
     records: list[IterationRecord] = []
     best: tuple[Solution, tuple[int, ...], ValidTuple] | None = None
+    threshold = math.inf  # what a cost must stay below to beat best
     for index, (Y, tau) in enumerate(pairs):
         start = time.perf_counter()
         ypos = [inst.xpos[y] for y in Y]
@@ -312,18 +312,16 @@ def run_reduction(inst: ClusteringInstance, config: ReductionConfig,
             cost = None if result is None else result.cost
             if result is not None:
                 _validate_plugin_output(problem, result)
-                # a tie keeps the earlier pair: the winner is the first
-                # cheapest pair in index order
-                if best is None or cost < best[0].cost:
+                if cost < threshold:
                     best = (problem.solution_of(result), Y, tau)
+                    threshold = improvement_threshold(cost)
             solver_cache[removed] = cost
         end = time.perf_counter()
         timings["solver"] += end - ts
         records.append(IterationRecord(index, Y, tau, matching.total_weight,
                                        cost, cost is not None, end - start))
-        if (config.early_stop_zero and best is not None
-                and best[0].cost <= COST_ZERO_ATOL):
-            break
+        if config.early_stop_zero and threshold <= 0.0:
+            break  # nothing beats a cost of 0
 
     if best is None:
         raise ReductionInfeasible(

@@ -15,16 +15,14 @@ per-label windows inside each cluster; they alone run on the
 min-cost-flow engine, once per cluster-size vector. ``solve_exact`` wraps
 the assignment in an enumeration over center subsets (ordered tuples when
 per-cluster bounds make clusters distinguishable) and is guarded by a
-work budget. The tuples come from a cached read-only table, and one numpy
-pass scores every tuple's nearest-center cost, which is the unconstrained
-kinds' assignment cost and a lower bound for the constrained ones; only
-tuples whose bound beats the incumbent reach the assignment engines.
-``solve_local_search`` swaps single centers greedily and accepts only
-strict improvements. It scores each sweep's swaps with the same numpy
-pass and solves the assignment only for swaps whose bound, shrunk by a
-relative ``4·n·eps`` for float summation error, still beats the
-acceptance threshold; the others could not be accepted, so the result is
-the one a full sweep gives.
+work budget. The tuples come from a cached read-only table.
+``solve_local_search`` swaps single centers greedily. Both scan tuples
+with ``_first_best``: one numpy pass scores every tuple's nearest-center
+cost, which is the unconstrained kinds' assignment cost and, up to a
+relative ``4·n·eps`` of float summation error, a lower bound for the
+constrained ones; only tuples whose bound beats the incumbent's
+``improvement_threshold`` reach the assignment engines, so the result is
+the one solving every tuple gives, and a near-tie keeps the earlier tuple.
 
 A problem is its residual as positions into the parent's X (``rows``),
 and a ``SolverResult`` is facility columns plus an assignment array over
@@ -51,7 +49,7 @@ from .flow import FlowInfeasible, solve_transportation
 # check is not called here, but it stays importable from this module:
 # bench/tracing.py wraps solvers.check by name
 from .instance import (ClusteringInstance, Solution, check, check_counts,
-                       clustering_counts)
+                       clustering_counts, improvement_threshold)
 
 __all__ = [
     "OutlierFreeProblem",
@@ -66,7 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_WORK_BUDGET = 5_000_000
-IMPROVE_ATOL = 1e-9
 LOCAL_SEARCH_ITERATION_FACTOR = 200
 FRACTIONAL_SIZE_VECTOR_BUDGET = 200_000
 BOUND_BLOCK_ELEMENTS = 1 << 18  # 2 MB of float64 per bound block
@@ -252,7 +249,7 @@ def _assign_fractional(problem, W):
         return win if feasible and lo_sum <= sz <= hi_sum else None
 
     per_size = [count_windows(sz) for sz in range(n + 1)]
-    best = None
+    best, threshold = None, math.inf
     for sizes_vec in _compositions(n, k):
         if any(per_size[sz] is None for sz in sizes_vec):
             continue
@@ -260,8 +257,8 @@ def _assign_fractional(problem, W):
                    for i, sz in enumerate(sizes_vec) for lab in labels}
         sizes = {i: (sz, sz) for i, sz in enumerate(sizes_vec)}
         res = _label_window_flow(problem, k, W, windows, sizes)
-        if res is not None and (best is None or res[1] < best[1] - IMPROVE_ATOL):
-            best = res
+        if res is not None and res[1] < threshold:
+            best, threshold = res, improvement_threshold(res[1])
     return best
 
 
@@ -392,19 +389,47 @@ def _dz_seed(W: np.ndarray, first: int, count: int,
     return chosen
 
 
+def _first_best(problem: OutlierFreeProblem, W_all: np.ndarray,
+                WT: np.ndarray, tuples: np.ndarray, threshold: float):
+    """(position, assign, cost) of the cheapest row of ``tuples`` whose
+    cost is below ``threshold``, a later row winning only by beating
+    ``improvement_threshold`` of the earlier; None when none is below.
+
+    One ``_tuple_bounds`` call scores every row. For the ``unconstrained``
+    kind and an outlier quota (which the caller has tested) the bound is
+    the cost; the other kinds shrink it by ``4·n·eps`` and solve the
+    assignment of a row only when its bound is below the threshold.
+    """
+    bound_only = problem.inst.constraint.kind in ("unconstrained",
+                                                  "outlier_label_quota")
+    bounds = _tuple_bounds(WT, tuples)
+    if not bound_only:
+        bounds *= 1.0 - 4.0 * problem.n * np.finfo(float).eps
+    best = None
+    for t, bound in enumerate(bounds.tolist()):
+        if bound >= threshold:
+            continue  # no assignment of this row costs less than its bound
+        if bound_only:
+            best = (t, None, bound)
+        else:
+            res = _assignment(problem, tuples[t], W_all[:, tuples[t]])
+            if res is None or res[1] >= threshold:
+                continue
+            best = (t, *res)
+        threshold = improvement_threshold(best[2])
+    if best is not None and bound_only:
+        best = (best[0], *_assign_unconstrained(W_all[:, tuples[best[0]]]))
+    return best
+
+
 def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
                 work_budget: int = DEFAULT_WORK_BUDGET):
     """Exact optimum over all center choices; None when globally infeasible.
 
     Enumerates unordered k-subsets of F, or ordered k-tuples when
     per-cluster bounds make clusters distinguishable, from the cached
-    tuple table. One ``_tuple_bounds`` call computes every tuple's
-    nearest-center cost; the scan then visits the tuples in order and skips
-    any whose cost is not below the incumbent by ``IMPROVE_ATOL``. For the
-    ``unconstrained`` kind, and for an outlier quota that the residual
-    meets, that cost is the answer; the other kinds solve their assignment
-    for every tuple that survives. Refuses instances whose enumeration
-    would exceed ``work_budget``.
+    tuple table, and scans them with ``_first_best``. Refuses instances
+    whose enumeration would exceed ``work_budget``.
     """
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
@@ -418,31 +443,13 @@ def solve_exact(problem: OutlierFreeProblem, rng_seed: int = 0, *,
             f"work budget {work_budget}")
 
     W_all = problem.weight_matrix()
-    WT = np.ascontiguousarray(W_all.T)
     tuples = _center_tuples(nf, k, ordered)
-    bound_only = inst.constraint.kind in ("unconstrained", "outlier_label_quota")
-    best_cost = None
-    best_t = None
-    best_assign = None
-    for t, cost in enumerate(_tuple_bounds(WT, tuples).tolist()):
-        if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
-            continue  # the unconstrained assignment already bounds this tuple
-        if not bound_only:
-            cols = tuples[t]
-            res = _assignment(problem, cols, W_all[:, cols])
-            if res is None:
-                continue
-            assign, cost = res
-            if best_cost is not None and cost >= best_cost - IMPROVE_ATOL:
-                continue
-            best_assign = assign
-        best_cost, best_t = cost, t
-    if best_cost is None:
+    best = _first_best(problem, W_all, np.ascontiguousarray(W_all.T), tuples,
+                       math.inf)
+    if best is None:
         return None
-    cols = tuples[best_t]
-    if bound_only:
-        best_assign, best_cost = _assign_unconstrained(W_all[:, cols])
-    return SolverResult(tuple(cols.tolist()), best_assign, best_cost)
+    t, assign, cost = best
+    return SolverResult(tuple(tuples[t].tolist()), assign, cost)
 
 
 def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
@@ -450,17 +457,10 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
 
     Seeds like the anchor solver, falls back to scanning center tuples in
     enumeration order when the seed is infeasible, then sweeps every
-    single swap (swapped position outer, new facility inner) and moves to
-    the first swap that beats both the current cost and every earlier
-    swap of the sweep by ``IMPROVE_ATOL``, up to 200*k sweeps.
-    Deterministic given the seed.
-
-    One numpy pass scores every swap's nearest-center cost before a
-    sweep. No assignment costs less than that bound, up to float
-    summation error, which the relative slack ``4·n·eps`` covers; a swap
-    whose bound already misses the acceptance threshold is skipped
-    without solving its assignment, so the result is the one a full sweep
-    gives.
+    single swap (swapped position outer, new facility inner) with
+    ``_first_best`` from the current cost's ``improvement_threshold`` and
+    moves to the sweep's winner, up to 200*k sweeps. Deterministic given
+    the seed.
     """
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
@@ -471,17 +471,14 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
     cols = (_dz_seed(W_all, int(np.argmin(W_all.sum(axis=0))), k, rng)
             if problem.n else list(range(k)))
 
-    def evaluate(cs: list[int]):
-        return _assignment(problem, cs, W_all[:, cs])
-
-    res = evaluate(cols)
+    res = _assignment(problem, cols, W_all[:, cols])
     if res is None:
         ordered = inst.constraint.cluster_indexed
         it = (itertools.permutations(range(nf), k) if ordered
               else itertools.combinations(range(nf), k))
         for cand in it:
             cols = list(cand)
-            res = evaluate(cols)
+            res = _assignment(problem, cols, W_all[:, cols])
             if res is not None:
                 break
         if res is None:
@@ -489,21 +486,13 @@ def solve_local_search(problem: OutlierFreeProblem, rng_seed: int = 0):
     assign, cost = res
 
     WT = np.ascontiguousarray(W_all.T)
-    shrink = 1.0 - 4.0 * problem.n * np.finfo(float).eps
     for _ in range(LOCAL_SEARCH_ITERATION_FACTOR * k):
         trials = _swap_trials(cols, nf)
-        bounds = (_tuple_bounds(WT, trials) * shrink).tolist()
-        threshold = cost - IMPROVE_ATOL  # min(cost, best of sweep) - ATOL
-        best = None
-        for t, bound in enumerate(bounds):
-            if bound >= threshold:
-                continue  # its assignment cannot cost less than the bound
-            t_res = evaluate(trials[t].tolist())
-            if t_res is not None and t_res[1] < threshold:
-                best, threshold = (t, t_res), t_res[1] - IMPROVE_ATOL
+        best = _first_best(problem, W_all, WT, trials,
+                           improvement_threshold(cost))
         if best is None:
             break
-        cols, (assign, cost) = trials[best[0]].tolist(), best[1]
+        cols, assign, cost = trials[best[0]].tolist(), best[1], best[2]
     return SolverResult(tuple(cols), assign, cost)
 
 

@@ -498,8 +498,8 @@ ReferenceResult = namedtuple("ReferenceResult", "clusters centers cost")
 def reference_local_search(problem, rng_seed=0):
     """Single-swap local search that solves the assignment of every swap
     of every sweep and builds its clusters; a ``ReferenceResult``."""
-    from outlier_reduce.solvers import (IMPROVE_ATOL,
-                                        LOCAL_SEARCH_ITERATION_FACTOR,
+    from outlier_reduce.instance import improvement_threshold
+    from outlier_reduce.solvers import (LOCAL_SEARCH_ITERATION_FACTOR,
                                         assign_given_centers)
 
     inst = problem.inst
@@ -529,7 +529,7 @@ def reference_local_search(problem, rng_seed=0):
     clusters, cost = res
 
     for _ in range(LOCAL_SEARCH_ITERATION_FACTOR * k):
-        best = None
+        best, threshold = None, improvement_threshold(cost)
         for i in range(k):
             for f in range(nf):
                 if f in cols:
@@ -540,9 +540,9 @@ def reference_local_search(problem, rng_seed=0):
                 if t_res is None:
                     continue
                 t_clusters, t_cost = t_res
-                if t_cost < cost - IMPROVE_ATOL and (
-                        best is None or t_cost < best[3] - IMPROVE_ATOL):
+                if t_cost < threshold:
                     best = (trial, t_centers, t_clusters, t_cost)
+                    threshold = improvement_threshold(t_cost)
         if best is None:
             break
         cols, centers, clusters, cost = best

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import sys
@@ -147,7 +148,7 @@ def test_scaled_distances_scale_the_solution(kind, z, metric):
             n=10, k=2, m=2, z=z, metric=metric, constraint=kind), seed)
         base = run_reduction(instance_from_dict(data), exhaustive_config(),
                              EXACT).solution
-        for s in (1000, 12345.678):
+        for s in (1e-9, 1e-6, 1000, 12345.678):
             inst = instance_from_dict(_scaled(data, s))
             sol = run_reduction(inst, exhaustive_config(), EXACT).solution
             assert (sol.centers, sol.outliers) == (base.centers,
@@ -155,6 +156,20 @@ def test_scaled_distances_scale_the_solution(kind, z, metric):
             assert sol.cost / s ** z == pytest.approx(base.cost, rel=1e-9)
             report = validate_solution(inst, sol)
             assert report.feasible, report.violations
+
+
+def test_validate_solution_rejects_a_wrong_cost_at_a_small_scale():
+    # at s = 1e-6 with z = 2 costs are near 1e-11, below any absolute
+    # floor: a stated cost of 0 or of twice the true cost is still wrong
+    data = generate_instance_dict(GeneratorConfig(n=10, k=2, m=2, z=2), 0)
+    inst = instance_from_dict(_scaled(data, 1e-6))
+    sol = run_reduction(inst, exhaustive_config(), EXACT).solution
+    assert 0 < sol.cost < 1e-9 and validate_solution(inst, sol).feasible
+    for stated in (0.0, 2 * sol.cost):
+        report = validate_solution(inst, dataclasses.replace(sol, cost=stated))
+        assert not report.feasible
+        assert report.violations == [f"cost mismatch: stated {stated}, "
+                                     f"recomputed {report.recomputed_cost}"]
 
 
 def test_records_cover_all_iterations():
@@ -241,10 +256,23 @@ def test_early_stop_ends_at_the_first_zero_cost_pair():
     at_1, at_4 = (run_fields(res.records, res.solution, res.chosen_Y,
                              res.chosen_tau, res.q) for res in runs)
     assert at_1 == at_4
-    zero = [r.solver_cost is not None
-            and r.solver_cost <= reduction.COST_ZERO_ATOL
-            for r in runs[0].records]
+    zero = [r.solver_cost == 0.0 for r in runs[0].records]
     assert zero[-1] and not any(zero[:-1])
+
+
+def test_early_stop_runs_past_a_tiny_positive_cost():
+    # every pair costs under 2e-14 here and none costs 0, so the run does
+    # not stop early and removes the far point
+    inst = line_instance([1e-9 * v for v in (-100, 0, 1, 2, 3)], k=1, m=1,
+                         z=2)
+    full = run_reduction(inst, exhaustive_config(), EXACT)
+    stopped = run_reduction(inst, exhaustive_config(early_stop_zero=True),
+                            EXACT)
+    costs = [r.solver_cost for r in stopped.records if r.feasible]
+    assert 0 < costs[0] <= 1e-12 and min(costs) < costs[0]
+    assert len(stopped.records) == len(full.records)
+    assert stopped.solution == full.solution
+    assert full.solution.outliers == {ref_of(inst, -1e-7)}
 
 
 def test_random_sampling_pool_size():
@@ -456,12 +484,15 @@ def test_matches_reference_loop_when_matchings_fail():
 
 @pytest.mark.parametrize("fault", ["none", "missing", "extra", "negative",
                                    "beyond_k", "centers", "cols_range",
-                                   "check", "cost_1pct_low"])
+                                   "check", "cost_1pct_low",
+                                   "small_cost_1pct_low"])
 def test_plugin_contract_is_enforced(fault):
-    # the exact plugin's own result, broken in one way; "none" passes
-    inst = line_instance([0, 1, 2, 10, 11], k=2, m=1,
-                         constraint={"kind": "size_bounds", "r": [1, 1],
-                                     "l": [3, 3]})
+    # the exact plugin's own result, broken in one way; "none" passes. The
+    # "small_" case scales the line by 1e-6 with z = 2: costs near 1e-12
+    scale, z = (1e-6, 2) if fault.startswith("small_") else (1, 1)
+    inst = line_instance([scale * v for v in (0, 1, 2, 10, 11)], k=2, m=1,
+                         z=z, constraint={"kind": "size_bounds",
+                                          "r": [1, 1], "l": [3, 3]})
 
     def faulty_solve(problem, rng_seed=0):
         res = EXACT.solve(problem, rng_seed)
@@ -481,7 +512,7 @@ def test_plugin_contract_is_enforced(fault):
         elif fault == "check":  # an empty cluster breaks r = 1
             assign[:] = 1
             cost = float(problem.weight_matrix()[:, cols[1]].sum())
-        elif fault == "cost_1pct_low":  # every residual here costs > 0
+        elif fault.endswith("cost_1pct_low"):  # every residual costs > 0
             cost *= 0.99
         return SolverResult(tuple(cols), assign, cost)
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from outlier_reduce import solvers
 from outlier_reduce.instance import (ClusteringInstance, ConstraintSpec,
-                                     check, instance_from_dict,
-                                     instance_to_dict, validate_solution,
-                                     Solution)
-from outlier_reduce.solvers import (IMPROVE_ATOL, ExactBudgetExceeded,
-                                    OutlierFreeProblem, assign_given_centers,
-                                    solve_exact, solve_local_search)
+                                     check, improvement_threshold,
+                                     instance_from_dict, instance_to_dict,
+                                     validate_solution, Solution)
+from outlier_reduce.solvers import (ExactBudgetExceeded, OutlierFreeProblem,
+                                    assign_given_centers, solve_exact,
+                                    solve_local_search)
 from helpers import (ReferenceResult, brute_assignment, fref_of, label_of,
                      line_instance, ref_of, reference_greedy_centers,
                      reference_local_search, residual_problem)
@@ -232,33 +232,25 @@ def test_empty_residual_set():
 
 
 def reference_solve_exact(problem):
-    """Scalar reference for ``solve_exact``: one slice, min and sum per
-    center tuple, in enumeration order."""
+    """Reference for ``solve_exact``: solves every center tuple, in
+    enumeration order, and keeps a later one only when it beats the
+    incumbent's ``improvement_threshold``."""
     inst = problem.inst
     k, nf = inst.k, len(inst.F)
     if k > nf:
         return None
     ordered = inst.constraint.cluster_indexed
-    W_all = problem.weight_matrix()
     it = (itertools.permutations(range(nf), k) if ordered
           else itertools.combinations(range(nf), k))
-    best_cost = best_cols = best_assignment = None
+    best, threshold = None, float("inf")
     for cols in it:
-        W = W_all[:, cols]
-        lower = float(W.min(axis=1).sum()) if W.size else 0.0
-        if best_cost is not None and lower >= best_cost - IMPROVE_ATOL:
-            continue
         centers = tuple(inst.F[j] for j in cols)
         res = assign_given_centers(problem, centers)
-        if res is None:
-            continue
-        clusters, cost = res
-        if best_cost is None or cost < best_cost - IMPROVE_ATOL:
-            best_cost, best_cols, best_assignment = cost, centers, clusters
-    if best_cost is None:
-        return None
-    return ReferenceResult(clusters=best_assignment, centers=best_cols,
-                           cost=best_cost)
+        if res is not None and res[1] < threshold:
+            best = ReferenceResult(clusters=res[0], centers=centers,
+                                   cost=res[1])
+            threshold = improvement_threshold(res[1])
+    return best
 
 
 def assert_same_result(problem, got, want):
@@ -314,8 +306,8 @@ def test_exact_matches_scalar_reference(spec, labelled, block_elements,
 
 @pytest.mark.parametrize("gap,winner", [(1e-10, 1), (1e-8, 2)])
 def test_exact_near_tie_keeps_first_tuple(gap, winner):
-    # the second facility is cheaper by ``gap``: within IMPROVE_ATOL the
-    # earlier tuple stays the incumbent
+    # the second facility is cheaper by ``gap``: at cost 1, within the
+    # relative improvement rule the earlier tuple stays the incumbent
     for kind in ({"kind": "unconstrained"},
                  {"kind": "capacitated", "s": [2, 2]}):
         inst = line_instance([0], fs=[1, 1 - gap], k=1, constraint=kind)
@@ -334,6 +326,33 @@ def test_exact_near_ties_random_match_reference():
         inst = line_instance(sorted(set(xs.tolist())), k=2)
         prob = problem_of(inst)
         assert_same_result(prob, solve_exact(prob), reference_solve_exact(prob))
+
+
+def test_fractional_windows_solve_the_same_at_small_scales():
+    # s·D must keep the centers and assignment of the min-cost flow's
+    # answer and scale its cost by s^z, also where costs are near 1e-16
+    rng = np.random.default_rng(23)
+    spec = {"kind": "label_bounds", "alpha": {"a": "1/4", "b": "1/4"},
+            "beta": {"a": "3/4", "b": "3/4"}}
+    for trial in range(29):
+        pts = rng.uniform(0, 10, size=(8, 2)).tolist()
+        labels = [("a", "b")[int(v)] for v in rng.integers(0, 2, size=8)]
+        results = []
+        for s in (1, 1e-6, 1e-9):
+            inst = instance_from_dict({
+                "metric": {"kind": "euclidean", "dim": 2}, "z": 2,
+                "points": [[s * c for c in p] for p in pts],
+                "facilities": [[s * c for c in p] for p in pts],
+                "k": 2, "m": 0, "labels": labels, "constraint": spec})
+            results.append((solve_exact(problem_of(inst)), s ** 2))
+        (base, _), *scaled = results
+        for res, s2 in scaled:
+            if base is None:  # a label too rare for every window
+                assert res is None
+                continue
+            assert res.cols == base.cols
+            assert res.assign.tolist() == base.assign.tolist()
+            assert res.cost / s2 == pytest.approx(base.cost, rel=1e-9)
 
 
 def test_center_tuple_table():
@@ -554,7 +573,7 @@ def test_local_search_matches_reference_loop(spec, labelled):
 def test_local_search_near_tie_after_fallback(gap, moves):
     # the seed, facility 0.5, has capacity 0, so the fallback scan starts
     # from facility 1; the swap to 1 - gap has a bound within a few
-    # IMPROVE_ATOL of the acceptance threshold 1 - IMPROVE_ATOL
+    # COST_RTOL of the acceptance threshold 1 - COST_RTOL
     inst = line_instance([0], fs=[0.5, 1, 1 - gap], k=1,
                          constraint={"kind": "capacitated", "s": [0, 1, 1]})
     prob = problem_of(inst)
@@ -582,24 +601,30 @@ def test_local_search_near_ties_random_match_reference():
 
 
 def test_local_search_accepts_a_swap_summed_below_its_bound():
-    # label windows sum each label's costs apart, so a swap whose windows do
-    # not bind can cost an ulp less than its nearest-center bound; the
-    # relative slack keeps that swap, which the full sweep accepts
-    xs = [1.775488581674567, 2.3864506687610874, 4.051532386312797,
-          6.1125068865206025, 7.814761747149061, 1e14]
-    fs = [2.3864506687610874, 4.051532386312797, 6.1125068865206025,
-          8967478244506.21, 67351378944946.59, 1e14]
-    inst = line_instance(xs, fs, k=1, labels=["a", "b", "a", "b", "a", "a"],
+    # label windows sum each label's costs apart, so centers (1, 2), whose
+    # windows do not bind, cost an ulp less than their nearest-center bound.
+    # Facility 0 puts the improvement threshold of the incumbent (0, 1),
+    # the exact scan's first tuple and the local search's seed, between
+    # that cost and the bound: only the relative slack on the bound lets
+    # either solver reach (1, 2), as solving every tuple does
+    xs = [10.955698874429807, 2.380031463150452, 0.9562194983145356,
+          1.001197318982955, 12.21529256678567]
+    fs = [11.945265023833668, 1.3824640285905025, 11.225726419031718]
+    inst = line_instance(xs, fs, k=2, z=2, labels=["a", "a", "b", "b", "a"],
                          constraint={"kind": "label_bounds",
                                      "min_per_label": {"a": 0},
-                                     "max_per_label": {"b": 6}})
+                                     "max_per_label": {"b": 5}})
     prob = problem_of(inst)
-    res = solve_local_search(prob)
-    assert_same_result(prob, res, reference_local_search(prob))
-    col = res.cols[0]
     bound = solvers._tuple_bounds(np.ascontiguousarray(
-        prob.weight_matrix().T), np.array([[col]]))[0]
-    assert res.cost < bound
+        prob.weight_matrix().T), np.array([[1, 2]]))[0]
+    threshold = improvement_threshold(
+        assign_given_centers(prob, (inst.F[0], inst.F[1]))[1])
+    for got, want in ((solve_exact(prob), reference_solve_exact(prob)),
+                      (solve_local_search(prob),
+                       reference_local_search(prob))):
+        assert_same_result(prob, got, want)
+        assert sorted(got.cols) == [1, 2]
+        assert got.cost < threshold <= bound
 
 
 def test_local_search_skips_swaps_that_cannot_win(monkeypatch):

@@ -26,12 +26,13 @@ import numpy as np
 from .bmatching import (BMatchingInfeasible, BMatchingProblem,
                         solve_bmatching)
 from .gen import GeneratorConfig, generate_instance_dict
-from .instance import (improvement_threshold, instance_from_dict,
+from .instance import (CONSTRAINT_FIELDS, METRIC_FIELDS,
+                       improvement_threshold, instance_from_dict,
                        load_instance, solution_from_dict, solution_to_dict,
                        validate_solution)
 from .oracle import OracleBudget, OracleBudgetExceeded, exact_outlier_opt
 from .reduction import (ReductionConfig, ReductionInfeasible, run_reduction)
-from .solvers import ExactBudgetExceeded, get_plugin
+from .solvers import DEFAULT_WORK_BUDGET, ExactBudgetExceeded, get_plugin
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -230,12 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--z", type=int, default=1, choices=(1, 2))
     p.add_argument("--metric", default="euclidean",
-                   choices=("euclidean", "matrix", "ulam"))
+                   choices=tuple(METRIC_FIELDS))
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--perm-len", type=int, default=5)
     p.add_argument("--constraint", default="unconstrained",
-                   choices=("unconstrained", "capacitated", "size_bounds",
-                            "label_bounds", "outlier_label_quota"))
+                   choices=tuple(CONSTRAINT_FIELDS))
     p.add_argument("--facilities", default="shared",
                    choices=("shared", "centers"))
     p.add_argument("--num-labels", type=int, default=2)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep the raw epsilon for squared costs")
     p.add_argument("--early-stop", action="store_true",
                    help="stop once a zero-cost solution is found")
-    p.add_argument("--exact-budget", type=int, default=5_000_000)
+    p.add_argument("--exact-budget", type=int, default=DEFAULT_WORK_BUDGET)
     p.add_argument("--stats", action="store_true",
                    help="include per-iteration stats in the output")
     p.add_argument("--report", default=None,
@@ -308,10 +308,7 @@ def main(argv=None) -> int:
     except (OracleBudgetExceeded, ExactBudgetExceeded) as exc:
         log.error("%s", exc)
         return EXIT_BUDGET
-    except ReductionInfeasible as exc:
-        log.error("%s", exc)
-        return EXIT_INFEASIBLE
-    except BMatchingInfeasible as exc:
+    except (ReductionInfeasible, BMatchingInfeasible) as exc:
         log.error("%s", exc)
         return EXIT_INFEASIBLE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ClusteringInstance, instance_from_dict
+from .instance import (CONSTRAINT_FIELDS, METRIC_FIELDS, ClusteringInstance,
+                       instance_from_dict)
 
 __all__ = ["GeneratorConfig", "generate_instance_dict", "generate_instance"]
 
@@ -43,11 +44,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < self.k + self.m:
             raise ValueError("need n >= k + m")
-        if self.metric not in ("euclidean", "matrix", "ulam"):
+        if self.metric not in METRIC_FIELDS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.constraint not in ("unconstrained", "capacitated",
-                                   "size_bounds", "label_bounds",
-                                   "outlier_label_quota"):
+        if self.constraint not in CONSTRAINT_FIELDS:
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.facilities not in ("shared", "centers"):
             raise ValueError(f"unknown facilities mode {self.facilities!r}")

@@ -22,33 +22,17 @@ size, fractional bounds rounded inward exactly. ``check_counts`` and the
 assignment engines in ``solvers`` read only these two and the instance's
 ``windowed_labels``, so they enforce one and the same predicate.
 
-Instance files are JSON::
-
-    {
-      "metric": {"kind": "euclidean", "dim": 2}
-                | {"kind": "matrix", "matrix": [[...], ...]}
-                | {"kind": "ulam", "perm_len": 5},
-      "z": 1,
-      "points": [[x, y], ...],        # matrix kind: ground-set indices
-      "facilities": [[x, y], ...],
-      "k": 2,
-      "m": 1,
-      "labels": ["a", "b", ...],      # required iff constraint uses labels
-      "constraint": {"kind": "unconstrained"}
-    }
-
-Constraint objects::
-
-    {"kind": "unconstrained"}
-    {"kind": "size_bounds", "r": [..k..], "l": [..k..]}
-    {"kind": "capacitated", "s": [..|F|..]}
-    {"kind": "label_bounds", "min_per_label": {...}, "max_per_label": {...}}
-    {"kind": "label_bounds", "alpha": {"a": "1/3"}, "beta": {"a": "2/3"}}
-    {"kind": "outlier_label_quota", "quota": {"a": 1}}
-
-Unknown fields are rejected. Fractional fairness bounds are parsed into
-exact rationals and rounded to integer counts exactly, never through
-floats.
+Instance files are JSON objects with the fields ``metric``, ``z``,
+``points`` and ``facilities`` (ground-set indices for a matrix metric),
+``k``, ``m``, ``labels`` (one string per client, present exactly when
+the constraint uses labels) and ``constraint``. The metric and the
+constraint are objects ``{"kind": ..., field: ...}``; ``METRIC_FIELDS``
+and ``CONSTRAINT_FIELDS`` list each kind's fields, once, with the reader
+of each field's JSON value. A field the kind does not have is rejected,
+as is every unknown field and every count that is not a JSON integer (a
+bool, 2.0 or 1.5). Integral and fractional label windows do not mix.
+Fractional fairness bounds are parsed into exact rationals and rounded to
+integer counts exactly, never through floats.
 """
 
 from __future__ import annotations
@@ -82,73 +66,117 @@ __all__ = [
 
 COST_RTOL = 1e-9
 LABEL_KINDS = frozenset({"label_bounds", "outlier_label_quota"})
-CONSTRAINT_KINDS = frozenset(
-    {"unconstrained", "size_bounds", "capacitated"}) | LABEL_KINDS
 
 
-def _parse_fraction(value: Any) -> Fraction:
-    # "1/3" stays exact; bare numbers go through their decimal literal so that
-    # e.g. 0.3 means 3/10, not the binary float.
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(str(value))
+def _count(value: Any) -> int:
+    """A JSON integer: a bool, a float such as 2.0 or a string is no count."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r:.40}")
+    return value
+
+
+def _list(value: Any) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _object(value: Any) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _counts(value: Any) -> tuple[int, ...]:
+    return tuple(_count(v) for v in _list(value))
+
+
+def _count_map(value: Any) -> dict[str, int]:
+    return {lab: _count(v) for lab, v in _object(value).items()}
+
+
+def _fraction_map(value: Any) -> dict[str, Fraction]:
+    # "1/3" stays exact, and a bare number goes through its decimal literal,
+    # so that 0.3 means 3/10, not the binary float
+    try:
+        return {lab: Fraction(str(v)) for lab, v in _object(value).items()}
+    except ZeroDivisionError:
+        raise ValueError("a fraction has a zero denominator") from None
+
+
+def _labels(value: Any) -> list[str]:
+    if not all(isinstance(lab, str) for lab in _list(value)):
+        raise ValueError("expected a list of strings")
+    return value
+
+
+# Each kind's fields, with the reader that turns a field's JSON value into
+# its value here. A field of another kind is unknown to a kind.
+CONSTRAINT_FIELDS = {
+    "unconstrained": {},
+    "size_bounds": {"r": _counts, "l": _counts},   # lower, upper per cluster
+    "capacitated": {"s": _counts},                 # per facility
+    "label_bounds": {"min_per_label": _count_map,  # integral windows
+                     "max_per_label": _count_map,
+                     "alpha": _fraction_map,       # fractional windows
+                     "beta": _fraction_map},
+    "outlier_label_quota": {"quota": _count_map},
+}
+METRIC_FIELDS = {
+    "euclidean": {"dim": _count},
+    "matrix": {"matrix": _list},
+    "ulam": {"perm_len": _count},
+}
 
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Declarative feasibility constraint, dispatched on ``kind``."""
+    """Declarative feasibility constraint, dispatched on ``kind``; a kind
+    sets exactly its fields in ``CONSTRAINT_FIELDS``, all of them except a
+    label window, which when left out is open."""
 
     kind: str
-    r: tuple[int, ...] | None = None                 # size_bounds lower
-    l: tuple[int, ...] | None = None                 # size_bounds upper
-    s: tuple[int, ...] | None = None                 # capacity per facility slot
-    min_per_label: Mapping[str, int] | None = None   # label_bounds, integer
+    r: tuple[int, ...] | None = None
+    l: tuple[int, ...] | None = None
+    s: tuple[int, ...] | None = None
+    min_per_label: Mapping[str, int] | None = None
     max_per_label: Mapping[str, int] | None = None
-    alpha: Mapping[str, Fraction] | None = None      # label_bounds, fractional
+    alpha: Mapping[str, Fraction] | None = None
     beta: Mapping[str, Fraction] | None = None
-    quota: Mapping[str, int] | None = None           # outlier_label_quota
+    quota: Mapping[str, int] | None = None
 
     def __post_init__(self):
-        if self.kind not in CONSTRAINT_KINDS:
+        fields = CONSTRAINT_FIELDS.get(self.kind)
+        if fields is None:
             raise ValueError(f"unknown constraint kind: {self.kind!r}")
+        given = {name: value for name, value in vars(self).items()
+                 if value is not None and name != "kind"}
+        stray = given.keys() - fields.keys()
+        if stray:
+            raise ValueError(f"{self.kind} takes no fields {sorted(stray)}")
+        if self.kind != "label_bounds" and fields.keys() - given.keys():
+            raise ValueError(f"{self.kind} needs the fields {sorted(fields)}")
+        for name, value in given.items():
+            if any(v < 0 for v in (value.values()
+                                   if isinstance(value, Mapping) else value)):
+                raise ValueError(f"{name} must be nonnegative")
         if self.kind == "size_bounds":
-            if self.r is None or self.l is None:
-                raise ValueError("size_bounds needs r and l vectors")
             if len(self.r) != len(self.l):
                 raise ValueError("r and l must have equal length")
             for ri, li in zip(self.r, self.l):
-                if ri < 0 or li < 0:
-                    raise ValueError("size bounds must be nonnegative")
                 if ri > li:
                     raise ValueError(f"lower bound {ri} exceeds upper bound {li}")
-        elif self.kind == "capacitated":
-            if self.s is None:
-                raise ValueError("capacitated needs capacities s")
-            if any(c < 0 for c in self.s):
-                raise ValueError("capacities must be nonnegative")
-        elif self.kind == "label_bounds":
-            fractional = self.alpha is not None or self.beta is not None
-            integral = self.min_per_label is not None or self.max_per_label is not None
-            if fractional == integral:
+        if self.fractional:
+            if self.min_per_label is not None or self.max_per_label is not None:
                 raise ValueError(
-                    "label_bounds needs either integer windows or alpha/beta "
+                    "label_bounds takes integer windows or alpha/beta "
                     "fractions, not both")
-            if fractional:
-                for lab in set(self.alpha or {}) | set(self.beta or {}):
-                    a = (self.alpha or {}).get(lab, Fraction(0))
-                    b = (self.beta or {}).get(lab, Fraction(1))
-                    if not (0 <= a <= b <= 1):
-                        raise ValueError(
-                            f"need 0 <= alpha <= beta <= 1 for label {lab!r}")
-            else:
-                for bounds in (self.min_per_label, self.max_per_label):
-                    if bounds and any(v < 0 for v in bounds.values()):
-                        raise ValueError("label count bounds must be nonnegative")
-        elif self.kind == "outlier_label_quota":
-            if self.quota is None:
-                raise ValueError("outlier_label_quota needs a quota map")
-            if any(v < 0 for v in self.quota.values()):
-                raise ValueError("quotas must be nonnegative")
+            for lab in set(self.alpha or {}) | set(self.beta or {}):
+                a = (self.alpha or {}).get(lab, Fraction(0))
+                b = (self.beta or {}).get(lab, Fraction(1))
+                if not (0 <= a <= b <= 1):
+                    raise ValueError(
+                        f"need 0 <= alpha <= beta <= 1 for label {lab!r}")
 
     @property
     def uses_labels(self) -> bool:
@@ -408,14 +436,56 @@ def validate_solution(inst: ClusteringInstance, sol: Solution) -> ValidationRepo
 # JSON schema
 # ---------------------------------------------------------------------------
 
-_TOP_FIELDS = {"metric", "z", "points", "facilities", "k", "m", "labels",
-               "constraint"}
-
-
-def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _read_fields(data: Any, readers: Mapping[str, Any], where: str) -> dict:
+    """Each field of the JSON object ``data`` through its reader; a field
+    with no reader is rejected."""
+    unknown = _object(data).keys() - readers.keys()
     if unknown:
         raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
+    fields = {}
+    for name, value in data.items():
+        try:
+            fields[name] = readers[name](value)
+        except ValueError as exc:
+            raise ValueError(f"{where} field {name!r}: {exc}") from None
+    return fields
+
+
+def _read_kind(data: Any, tables: Mapping[str, Mapping[str, Any]],
+               where: str) -> tuple[str, dict]:
+    """(kind, fields) of a JSON object ``{"kind": ..., field: ...}``, each
+    field read by its reader in ``tables[kind]``."""
+    kind = _object(data).get("kind")
+    if not isinstance(kind, str) or kind not in tables:
+        raise ValueError(f"unknown {where} kind: {kind!r:.40}")
+    return kind, _read_fields({name: value for name, value in data.items()
+                               if name != "kind"}, tables[kind],
+                              f"{kind} {where}")
+
+
+def constraint_from_dict(data: Any) -> ConstraintSpec:
+    kind, fields = _read_kind(data, CONSTRAINT_FIELDS, "constraint")
+    return ConstraintSpec(kind, **fields)
+
+
+def constraint_to_dict(spec: ConstraintSpec) -> dict[str, Any]:
+    """``spec``'s kind and exactly the fields it sets."""
+    out: dict[str, Any] = {"kind": spec.kind}
+    for name in CONSTRAINT_FIELDS[spec.kind]:
+        value = getattr(spec, name)
+        if isinstance(value, Mapping):  # counts, or fractions written "p/q"
+            out[name] = {lab: v if isinstance(v, int) else str(v)
+                         for lab, v in value.items()}
+        elif value is not None:
+            out[name] = list(value)
+    return out
+
+
+_TOP_FIELDS = {
+    "metric": lambda value: _read_kind(value, METRIC_FIELDS, "metric"),
+    "z": _count, "points": _list, "facilities": _list, "k": _count,
+    "m": _count, "labels": _labels, "constraint": constraint_from_dict,
+}
 
 
 def _build_ground_set(points: list, facilities: list, point):
@@ -428,91 +498,31 @@ def _build_ground_set(points: list, facilities: list, point):
 
 
 def instance_from_dict(data: Mapping[str, Any]) -> ClusteringInstance:
-    _reject_unknown(data, _TOP_FIELDS, "instance")
-    for required in ("metric", "z", "points", "facilities", "k", "m", "constraint"):
-        if required not in data:
-            raise ValueError(f"instance is missing field {required!r}")
-    metric = data["metric"]
-    _reject_unknown(metric, {"kind", "dim", "perm_len", "matrix"}, "metric")
-    kind = metric.get("kind")
-    z = int(data["z"])
-    points = list(data["points"])
-    facilities = list(data["facilities"])
-
-    if kind == "matrix":
-        refs_x = [int(i) for i in points]
-        refs_f = [int(i) for i in facilities]
-        space = matrix_space(metric["matrix"], z)
-        for r in refs_x + refs_f:
-            if not (0 <= r < space.size):
-                raise ValueError(f"ref {r} outside the distance matrix")
-    elif kind == "euclidean":
-        dim = int(metric["dim"])
-        table, refs_x, refs_f = _build_ground_set(points, facilities, lambda p: tuple(
-            map(float, [p] if dim == 1 and not isinstance(p, (list, tuple)) else p)))
-        space = euclidean_space(table, z, dim)
-    elif kind == "ulam":
-        perm_len = int(metric["perm_len"])
-        table, refs_x, refs_f = _build_ground_set(
-            points, facilities, lambda p: tuple(map(int, p)))
-        space = ulam_space(table, z, perm_len)
-    else:
-        raise ValueError(f"unknown metric kind: {kind!r}")
-
-    constraint = constraint_from_dict(data["constraint"])
-    labels = data.get("labels")
-    return ClusteringInstance(space, refs_x, refs_f, int(data["k"]),
-                              int(data["m"]), labels, constraint)
-
-
-def constraint_from_dict(data: Mapping[str, Any]) -> ConstraintSpec:
-    kind = data.get("kind")
-    if kind == "unconstrained":
-        _reject_unknown(data, {"kind"}, "constraint")
-        return ConstraintSpec("unconstrained")
-    if kind == "size_bounds":
-        _reject_unknown(data, {"kind", "r", "l"}, "constraint")
-        return ConstraintSpec("size_bounds", r=tuple(int(v) for v in data["r"]),
-                              l=tuple(int(v) for v in data["l"]))
-    if kind == "capacitated":
-        _reject_unknown(data, {"kind", "s"}, "constraint")
-        return ConstraintSpec("capacitated", s=tuple(int(v) for v in data["s"]))
-    if kind == "label_bounds":
-        _reject_unknown(data, {"kind", "min_per_label", "max_per_label",
-                               "alpha", "beta"}, "constraint")
-        if "alpha" in data or "beta" in data:
-            return ConstraintSpec(
-                "label_bounds",
-                alpha={k: _parse_fraction(v) for k, v in data.get("alpha", {}).items()},
-                beta={k: _parse_fraction(v) for k, v in data.get("beta", {}).items()})
-        return ConstraintSpec(
-            "label_bounds",
-            min_per_label={k: int(v) for k, v in data.get("min_per_label", {}).items()},
-            max_per_label={k: int(v) for k, v in data.get("max_per_label", {}).items()})
-    if kind == "outlier_label_quota":
-        _reject_unknown(data, {"kind", "quota"}, "constraint")
-        return ConstraintSpec("outlier_label_quota",
-                              quota={k: int(v) for k, v in data["quota"].items()})
-    raise ValueError(f"unknown constraint kind: {kind!r}")
-
-
-def constraint_to_dict(spec: ConstraintSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": spec.kind}
-    if spec.kind == "size_bounds":
-        out["r"] = list(spec.r)
-        out["l"] = list(spec.l)
-    elif spec.kind == "capacitated":
-        out["s"] = list(spec.s)
-    elif spec.kind == "label_bounds":
-        if spec.fractional:
-            out["alpha"] = {k: str(v) for k, v in (spec.alpha or {}).items()}
-            out["beta"] = {k: str(v) for k, v in (spec.beta or {}).items()}
+    top = _read_fields(data, _TOP_FIELDS, "instance")
+    missing = _TOP_FIELDS.keys() - {"labels"} - top.keys()
+    if missing:
+        raise ValueError(f"instance is missing fields {sorted(missing)}")
+    (kind, metric), z = top["metric"], top["z"]
+    points, facilities = top["points"], top["facilities"]
+    try:
+        if kind == "matrix":
+            refs_x, refs_f = _counts(points), _counts(facilities)
+            space = matrix_space(metric["matrix"], z)
+            for r in refs_x + refs_f:
+                if not (0 <= r < space.size):
+                    raise ValueError(f"ref {r} outside the distance matrix")
+        elif kind == "euclidean":
+            dim = metric["dim"]
+            table, refs_x, refs_f = _build_ground_set(points, facilities, lambda p: tuple(
+                map(float, [p] if dim == 1 and not isinstance(p, (list, tuple)) else p)))
+            space = euclidean_space(table, z, dim)
         else:
-            out["min_per_label"] = dict(spec.min_per_label or {})
-            out["max_per_label"] = dict(spec.max_per_label or {})
-    elif spec.kind == "outlier_label_quota":
-        out["quota"] = dict(spec.quota)
-    return out
+            table, refs_x, refs_f = _build_ground_set(points, facilities, _counts)
+            space = ulam_space(table, z, metric["perm_len"])
+    except (TypeError, OverflowError) as exc:  # an entry that is no float
+        raise ValueError(f"malformed {kind} points or metric: {exc}") from None
+    return ClusteringInstance(space, refs_x, refs_f, top["k"], top["m"],
+                              top.get("labels"), top["constraint"])
 
 
 def instance_to_dict(inst: ClusteringInstance) -> dict[str, Any]:
@@ -566,10 +576,13 @@ def solution_to_dict(sol: Solution, *, chosen_Y=None, chosen_tau=None,
     return out
 
 
-def solution_from_dict(data: Mapping[str, Any]) -> Solution:
+def solution_from_dict(data: Any) -> Solution:
+    """The fields of a solution file that ``eval`` reads; the others, such
+    as ``q`` and ``chosen_Y``, are left unread."""
+    cost = _object(data)["cost"]
+    if isinstance(cost, bool) or not isinstance(cost, (int, float)):
+        raise ValueError(f"solution cost must be a number, got {cost!r:.40}")
     return Solution(
-        outliers=frozenset(int(x) for x in data["outliers"]),
-        clusters=tuple(frozenset(int(x) for x in c) for c in data["clusters"]),
-        centers=tuple(int(f) for f in data["centers"]),
-        cost=float(data["cost"]),
-    )
+        outliers=frozenset(_counts(data["outliers"])),
+        clusters=tuple(frozenset(_counts(c)) for c in _list(data["clusters"])),
+        centers=_counts(data["centers"]), cost=float(cost))

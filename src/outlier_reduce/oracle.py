@@ -10,6 +10,7 @@ permutation move distance by breadth-first search over states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -119,26 +120,14 @@ def ulam_bfs_distances(p: Sequence[int]) -> dict[tuple[int, ...], int]:
 
 def ulam_bfs(p: Sequence[int], q: Sequence[int]) -> int:
     """Minimum number of single-element moves turning p into q."""
-    start = tuple(int(v) for v in p)
-    goal = tuple(int(v) for v in q)
-    if len(start) != len(goal):
+    if len(p) != len(q):
         raise ValueError("permutation lengths differ")
-    if len(start) > BFS_MAX_LEN:
-        raise ValueError(f"BFS oracle capped at length {BFS_MAX_LEN}")
-    if start == goal:
-        return 0
-    seen = {start}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for s in frontier:
-            for t in _moves(s):
-                if t == goal:
-                    return d
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    raise AssertionError("unreachable: move graph is connected")
+    # a move acts on positions, so renaming the values p[i] -> i + 1 in both
+    # keeps the distance and turns p into the identity
+    rank = {int(v): i for i, v in enumerate(p, 1)}
+    return _identity_distances(len(p))[tuple(rank[int(v)] for v in q)]
+
+
+@functools.lru_cache(maxsize=BFS_MAX_LEN + 1)
+def _identity_distances(length: int) -> dict[tuple[int, ...], int]:
+    return ulam_bfs_distances(range(1, length + 1))

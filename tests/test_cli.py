@@ -443,3 +443,65 @@ def test_report_stage_times_cover_every_trial(tmp_path):
     total = times.pop("total")
     assert set(times) == {"baseline", "sampling", "matching", "solver"}
     assert total / 2 <= sum(times.values()) <= total
+
+
+LINE = {"metric": {"kind": "euclidean", "dim": 1}, "z": 1,
+        "points": [[0], [1], [5], [6], [20]], "facilities": [[0], [5]],
+        "k": 2, "m": 1, "constraint": {"kind": "unconstrained"}}
+LABELLED = dict(LINE, labels=["a", "a", "b", "b", "a"])
+
+
+@pytest.mark.parametrize("data", [
+    dict(LABELLED, constraint={"kind": "label_bounds", "alpha": {"a": "1/5"},
+                               "min_per_label": {"b": 9}}),
+    dict(LINE, metric={"kind": "euclidean", "dim": 1, "perm_len": 3,
+                       "matrix": [[0.0]]}),
+    dict(LINE, k=1.5),
+    dict(LINE, m=True),
+    dict(LINE, constraint={"kind": "capacitated", "s": [2.7, 3.9]}),
+    dict(LABELLED, constraint={"kind": "outlier_label_quota",
+                               "quota": {"a": 0.9}}),
+    dict(LINE, constraint={"kind": "size_bounds", "r": 1, "l": [5, 5]}),
+    dict(LABELLED, constraint={"kind": "outlier_label_quota", "quota": [1]}),
+    dict(LINE, constraint=[]),
+    dict(LINE, k=None),
+    dict(LINE, points=5),
+], ids=["mixed-label-windows", "metric-of-another-kind", "k-1.5", "m-true",
+        "capacities-2.7", "quota-0.9", "r-not-a-list", "quota-not-an-object",
+        "constraint-not-an-object", "k-null", "points-not-a-list"])
+def test_malformed_instance_exits_1(tmp_path, caplog, data):
+    # each loaded with a count truncated or a field dropped, or crashed
+    # with a traceback; now one error line and exit 1
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--input", path, "--out", out,
+                "--exhaustive-sample"]) == 1
+    assert not out.exists()
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "\n" not in record.getMessage()
+
+
+# refs 0-1 served from the facility at 0, 2 and 4 from the one at 5, 3 out
+GOOD_SOLUTION = {"cost": 16.0, "centers": [0, 2], "clusters": [[0, 1], [2, 4]],
+                 "outliers": [3]}
+
+
+@pytest.mark.parametrize("solution", [
+    dict(GOOD_SOLUTION, outliers=[3.5]),
+    dict(GOOD_SOLUTION, centers=[0.9, 2]),
+    dict(GOOD_SOLUTION, cost=None),
+    dict(GOOD_SOLUTION, clusters=5),
+    [],
+], ids=["outlier-3.5", "center-0.9", "cost-null", "clusters-not-a-list",
+        "not-an-object"])
+def test_malformed_solution_exits_1(tmp_path, caplog, solution):
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(json.dumps(LINE))
+    sol.write_text(json.dumps(GOOD_SOLUTION))
+    assert run(["eval", "--instance", inst, "--solution", sol]) == 0
+    sol.write_text(json.dumps(solution))
+    caplog.clear()
+    assert run(["eval", "--instance", inst, "--solution", sol]) == 1
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "\n" not in record.getMessage()

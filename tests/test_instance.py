@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outlier_reduce.gen import GeneratorConfig, generate_instance_dict
-from outlier_reduce.instance import (ClusteringInstance, ConstraintSpec,
-                                     Solution, check, check_counts, cost,
-                                     instance_from_dict, instance_to_dict,
-                                     validate_solution)
+from outlier_reduce.instance import (CONSTRAINT_FIELDS, METRIC_FIELDS,
+                                     ClusteringInstance, ConstraintSpec,
+                                     Solution, check, check_counts,
+                                     constraint_from_dict, constraint_to_dict,
+                                     cost, instance_from_dict,
+                                     instance_to_dict, validate_solution)
 from outlier_reduce.metric import euclidean_space
 
 from helpers import (fref_of, label_of, line_instance, ref_of,
@@ -168,6 +170,62 @@ def test_constraint_spec_validation():
         ConstraintSpec("size_bounds", r=(3,), l=(2,))
     with pytest.raises(ValueError):
         ConstraintSpec("nonsense")
+    for bad in ({"kind": "capacitated"},                   # a field missing
+                {"kind": "capacitated", "s": (1,), "r": (1,)},  # another kind's
+                {"kind": "size_bounds", "r": (0,), "l": (-1,)},
+                {"kind": "outlier_label_quota", "quota": {"a": -1}},
+                {"kind": "label_bounds", "min_per_label": {},
+                 "alpha": {"a": Fraction(1, 3)}}):        # mixed windows
+        with pytest.raises(ValueError):
+            ConstraintSpec(**bad)
+    # every label window is optional: one left out is open
+    assert ConstraintSpec("label_bounds").label_window("a", 4) == (0, 4)
+
+
+def test_constraint_to_dict_writes_exactly_the_set_fields():
+    for data in ({"kind": "label_bounds"},
+                 {"kind": "label_bounds", "beta": {"a": "2/3"}},
+                 {"kind": "label_bounds", "min_per_label": {},
+                  "max_per_label": {"a": 2}},
+                 {"kind": "size_bounds", "r": [0, 1], "l": [3, 3]}):
+        assert constraint_to_dict(constraint_from_dict(data)) == data
+
+
+# Any JSON value: what the loader may meet in place of a well-formed one.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(CONSTRAINT_FIELDS)),
+       st.sampled_from(sorted(METRIC_FIELDS)), st.data())
+def test_loader_reads_or_rejects_any_field_value(kind, metric, data):
+    # a JSON value of another type in place of one top-level, metric or
+    # constraint field (any field of the kind, set or not), or of one entry
+    # of it: the instance loads or raises what the CLI maps to exit 1
+    inst = generate_instance_dict(
+        GeneratorConfig(n=6, k=2, m=1, metric=metric, constraint=kind), seed=0)
+    slots = ([(inst, name) for name in (*inst, "labels")]
+             + [(inst["metric"], name)
+                for name in ("kind", *METRIC_FIELDS[metric])]
+             + [(inst["constraint"], name)
+                for name in ("kind", *CONSTRAINT_FIELDS[kind])])
+    obj, name = data.draw(st.sampled_from(slots))
+    old = obj.get(name)
+    if isinstance(old, (list, dict)) and old and data.draw(st.booleans()):
+        obj, name = old, data.draw(st.sampled_from(
+            range(len(old)) if isinstance(old, list) else sorted(old)))
+        old = obj[name]
+    obj[name] = data.draw(JSON_VALUES.filter(
+        lambda value: type(value) is not type(old)))
+    try:
+        instance_from_dict(inst)
+    except (ValueError, KeyError):
+        pass
 
 
 def test_json_round_trip():
